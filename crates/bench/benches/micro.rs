@@ -11,7 +11,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use diesel_cache::{CacheConfig, CachePolicy, TaskCache, Topology};
-use diesel_chunk::{ChunkBuilder, ChunkBuilderConfig, ChunkIdGenerator, ChunkReader, ChunkWriter};
+use diesel_chunk::{ChunkBuilder, ChunkBuilderConfig, ChunkIdGenerator, ChunkView, ChunkWriter};
 use diesel_kv::{KvStore, ShardedKv};
 use diesel_meta::recovery::chunk_object_key;
 use diesel_meta::{MetaService, MetaSnapshot};
@@ -52,9 +52,9 @@ fn bench_chunk_roundtrip(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("build_4k_files", files), &files, |b, &n| {
             b.iter(|| std::hint::black_box(build_chunk(n, 4096).len()))
         });
-        let chunk = build_chunk(files, 4096);
+        let chunk = diesel_store::Bytes::from(build_chunk(files, 4096));
         g.bench_with_input(BenchmarkId::new("parse", files), &chunk, |b, chunk| {
-            b.iter(|| ChunkReader::parse(std::hint::black_box(chunk)).unwrap().file_count())
+            b.iter(|| ChunkView::parse(std::hint::black_box(chunk.clone())).unwrap().file_count())
         });
     }
     g.finish();

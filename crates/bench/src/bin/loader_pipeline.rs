@@ -29,14 +29,14 @@ use diesel_cache::{CacheConfig, CachePolicy, TaskCache, Topology};
 use diesel_core::{ClientConfig, DieselClient, DieselServer, ServerConn};
 use diesel_exec::{ExecConfig, WorkPool};
 use diesel_kv::ShardedKv;
-use diesel_net::{Clock, EndpointMetrics, Instrumented, Retry, RetryPolicy, Service};
+use diesel_net::{EndpointMetrics, Instrumented, Retry, RetryPolicy, Service};
 use diesel_obs::{chrome_trace_json, parse_chrome_trace, Tracer};
 use diesel_shuffle::ShuffleKind;
 use diesel_simnet::SimTime;
 use diesel_store::{DelayedStore, DeviceModel, MemObjectStore};
 use diesel_train::loader::upload_samples;
 use diesel_train::{DataLoader, SyntheticSpec};
-use diesel_util::SystemClock;
+use diesel_util::clock::{Clock, SystemClock};
 
 const SAMPLES: usize = 384;
 const BATCH: usize = 16;

@@ -4,7 +4,7 @@
 //! pointer-handoff cheap, so this bench pins the hot payload path with
 //! five fixed measurements:
 //!
-//! * `chunk_parse_ns` — [`ChunkReader::parse`] over a ~1000-file chunk
+//! * `chunk_parse_ns` — [`ChunkView::parse`] over a ~1000-file chunk
 //! * `cache_hit_read_ns` — [`TaskCache::get_file`] on a fully prefetched
 //!   cache (the zero-copy fast path)
 //! * `merged_read_us_per_file` — `client.get_many` through the server's
@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use diesel_cache::{CacheConfig, CachePolicy, TaskCache, Topology};
-use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkReader, ChunkWriter};
+use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkView, ChunkWriter};
 use diesel_core::{ClientConfig, DieselClient, DieselServer};
 use diesel_kv::{KvStore, ShardedKv};
 use diesel_meta::FileMeta;
@@ -67,8 +67,8 @@ fn chunk_parse_ns() -> f64 {
     assert_eq!(sealed.len(), 1, "suite expects one chunk");
     let bytes = &sealed[0].bytes;
     best_ns_per_iter(3, 500, || {
-        let r = ChunkReader::parse(bytes).unwrap();
-        assert_eq!(r.header().files.len(), 1000);
+        let v = ChunkView::parse(bytes.clone()).unwrap();
+        assert_eq!(v.header().files.len(), 1000);
     })
 }
 

@@ -26,7 +26,12 @@
 //!   membership, plus moved-chunk deltas between memberships.
 //! * [`task_cache`] — [`TaskCache`]: the cache itself, with
 //!   [`CachePolicy::Oneshot`] prefetch and [`CachePolicy::OnDemand`]
-//!   fill, LRU eviction, node-failure injection and chunk-wise recovery.
+//!   fill, LRU eviction, node-failure injection, chunk-wise recovery and
+//!   elastic membership. Its nodes share one address space, so a peer
+//!   read is a lock and a refcount, not a message: every file read goes
+//!   through [`TaskCache::get_file`], traced or not, and every chunk
+//!   fill (miss, prefetch, recovery, rebalance handoff) through one
+//!   ownership-checked fill step.
 //! * [`tenant`] — [`TenantCacheMap`]: one `TaskCache` per tenant over a
 //!   shared node plane, with weighted per-tenant byte budgets carved
 //!   out of the node LRU budget (multi-tenant isolation).
@@ -36,7 +41,6 @@ pub mod ring;
 pub mod task_cache;
 pub mod tenant;
 pub mod topology;
-pub mod transport;
 
 pub use partition::{ChunkMove, ChunkPartition};
 pub use ring::{HashRing, DEFAULT_VNODES};
@@ -45,7 +49,6 @@ pub use task_cache::{
 };
 pub use tenant::{TenantCacheMap, TenantUsage};
 pub use topology::{PeerId, Topology};
-pub use transport::{NetOptions, PeerHandle, PeerRequest, PeerServer, RpcCache};
 
 /// Errors from the distributed cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,13 +77,6 @@ pub enum CacheError {
         /// The epoch the cache is currently at.
         epoch: u64,
     },
-    /// A peer was asked for a chunk it does not hold in memory
-    /// (resident-only fetch during warm handoff; the caller falls back
-    /// to the backing store).
-    NotResident {
-        /// The peer that did not hold the chunk.
-        node: usize,
-    },
     /// The serving plane's admission controller rejected the request —
     /// the tenant's token bucket is empty or its queue overflowed. The
     /// client should back off for `retry_after_ms` and retry
@@ -101,9 +97,6 @@ impl std::fmt::Display for CacheError {
             CacheError::InvalidMembership(e) => write!(f, "invalid cache membership: {e}"),
             CacheError::StaleOwner { epoch } => {
                 write!(f, "owner resolved under a stale epoch (cache is at epoch {epoch})")
-            }
-            CacheError::NotResident { node } => {
-                write!(f, "chunk not resident on peer node {node}")
             }
             CacheError::Throttled { retry_after_ms } => {
                 write!(f, "tenant throttled; retry after {retry_after_ms} ms")

@@ -13,8 +13,9 @@
 //! chunk on its new owner — **from the previous owner's memory when the
 //! chunk is still resident there** (peer warm handoff), falling back to
 //! the backing store only when it is not. Reads that race a rebalance
-//! are protected by the epoch: a request routed with a stale owner gets
-//! [`CacheError::StaleOwner`] and re-resolves.
+//! are protected by the fill's ownership check: a miss routed to a node
+//! that no longer owns the chunk gets [`CacheError::StaleOwner`], and
+//! [`TaskCache::get_file`] re-resolves.
 //!
 //! Lock order (runtime lockdep classes, see also `LOCK_RANKS` in
 //! diesel-lint): `cache.rebalance` → `cache.membership` → `cache.node`,
@@ -410,9 +411,8 @@ impl<S: ObjectStore> TaskCache<S> {
     }
 
     /// A snapshot of the current chunk partition map. This is a copy:
-    /// membership can change under your feet, so pair any routing
-    /// decision made from it with [`TaskCache::get_file_routed`]'s epoch
-    /// check (take the epoch from [`TaskCache::membership_epoch`]).
+    /// membership can change under your feet, so read files through
+    /// [`TaskCache::get_file`], which routes against the live map.
     pub fn partition(&self) -> ChunkPartition {
         self.membership.read().partition.clone()
     }
@@ -853,105 +853,57 @@ impl<S: ObjectStore> TaskCache<S> {
         self.membership.read().handoff.len()
     }
 
-    /// Resolve the owner of `chunk` under the current epoch. The pair
-    /// feeds [`TaskCache::get_file_routed`], which rejects it with
-    /// [`CacheError::StaleOwner`] if a rebalance lands in between.
-    pub fn resolve_owner(&self, chunk: ChunkId) -> Result<(usize, u64)> {
-        let m = self.membership.read();
-        match m.partition.owner_of(chunk) {
-            Some(owner) => Ok((owner, m.epoch)),
-            None => Err(CacheError::UnknownChunk(chunk.encode())),
-        }
-    }
-
-    /// Read a whole file through the cache, re-resolving the owner if a
-    /// membership transition invalidates the route mid-flight.
+    /// Read a whole file through the cache: the one read path, traced
+    /// or not. The owner and its node state are resolved under one
+    /// membership read; a hit is served from the node with no further
+    /// validation (chunk bytes are immutable, so a hit on an owner that
+    /// a rebalance just retired still serves the right data). A miss
+    /// fills the chunk, and the fill re-checks ownership under the
+    /// membership lock; if a rebalance landed in between it fails with
+    /// [`CacheError::StaleOwner`] and the read re-resolves, at most
+    /// twice.
     pub fn get_file(&self, meta: &FileMeta) -> Result<Fetched> {
-        // Fast path: owner resolution and the hit probe under one
-        // membership read acquisition — the fully-warm steady state
-        // pays a single RwLock round instead of resolve-then-validate.
-        // Traced runs take the routed path below so every read still
-        // gets its `cache.get` span.
-        if !trace::active() {
-            // The membership guard is dropped before the node probe:
-            // the hit itself needs no route validation (chunk bytes are
-            // immutable, so a hit on a just-retired owner still serves
-            // the right data), and keeping the guard would nest every
-            // hot-path lock under it — one lockdep graph round per
-            // acquisition instead of per miss.
-            let route = {
-                let m = self.membership.read();
-                match m.partition.owner_of(meta.chunk) {
-                    None => {
-                        self.metrics.file_reads.inc();
-                        return Err(CacheError::UnknownChunk(meta.chunk.encode()));
-                    }
-                    Some(owner) => m.nodes.get(&owner).cloned().map(|dest| (owner, dest)),
-                }
-            };
-            if let Some((owner, dest)) = route {
-                if !dest.down.load(Ordering::Acquire) {
-                    let inner = dest.inner.lock();
-                    if let Some(c) = inner.chunks.get(&meta.chunk) {
-                        self.registry.batch(|| {
-                            self.metrics.file_reads.inc();
-                            self.metrics.chunk_hits.inc();
-                        });
-                        let data = slice_file(c, meta)?;
-                        return Ok(Fetched { data, owner_node: owner, chunk_hit: true });
-                    }
-                }
-            }
-        }
         let mut attempts = 0;
         loop {
-            let (owner, epoch) = match self.resolve_owner(meta.chunk) {
-                Ok(route) => route,
-                Err(e) => {
+            // The membership guard is dropped before the node probe, so
+            // hot-path node locks never nest under it.
+            let (owner, dest) = {
+                let m = self.membership.read();
+                let Some(owner) = m.partition.owner_of(meta.chunk) else {
                     self.metrics.file_reads.inc();
-                    return Err(e);
-                }
+                    return Err(CacheError::UnknownChunk(meta.chunk.encode()));
+                };
+                (owner, m.nodes.get(&owner).cloned())
             };
-            match self.get_file_routed(meta, owner, epoch) {
+            let mut span = if trace::active() {
+                let chunk = meta.chunk.encode();
+                trace::span("cache.get", &[("chunk", chunk.as_str())])
+            } else {
+                trace::SpanGuard::default()
+            };
+            match self.read_from(meta, owner, dest, &mut span) {
                 Err(CacheError::StaleOwner { .. }) if attempts < 2 => attempts += 1,
                 other => return other,
             }
         }
     }
 
-    /// Read a whole file from `owner`, validating that the route was
-    /// resolved under the current `epoch`. Remote callers (the RPC
-    /// transport, clients holding a partition snapshot) use this to get
-    /// a typed [`CacheError::StaleOwner`] instead of a wrong-node read
-    /// when a rebalance raced their routing decision.
-    pub fn get_file_routed(&self, meta: &FileMeta, owner: usize, epoch: u64) -> Result<Fetched> {
-        let mut span = if trace::active() {
-            let chunk = meta.chunk.encode();
-            trace::span("cache.get", &[("chunk", chunk.as_str())])
-        } else {
-            trace::SpanGuard::default()
-        };
-        let dest = {
-            let m = self.membership.read();
-            if m.epoch != epoch || m.partition.owner_of(meta.chunk) != Some(owner) {
-                self.metrics.stale_owner_retries.inc();
-                span.label("outcome", "stale_owner");
-                return Err(CacheError::StaleOwner { epoch: m.epoch });
-            }
-            m.nodes.get(&owner).cloned()
-        };
-        let Some(dest) = dest else {
+    /// One routed attempt of [`TaskCache::get_file`] against `owner`,
+    /// labelling `span` with its outcome.
+    fn read_from(
+        &self,
+        meta: &FileMeta,
+        owner: usize,
+        dest: Option<Arc<NodeState>>,
+        span: &mut trace::SpanGuard,
+    ) -> Result<Fetched> {
+        let Some(dest) = dest.filter(|d| !d.down.load(Ordering::Acquire)) else {
             self.metrics.file_reads.inc();
             span.label("outcome", "node_down");
             return Err(CacheError::NodeDown { node: owner });
         };
-        if dest.down.load(Ordering::Acquire) {
-            self.metrics.file_reads.inc();
-            span.label("outcome", "node_down");
-            return Err(CacheError::NodeDown { node: owner });
-        }
-        // Fast path: chunk resident on its owner. The read and its hit
-        // are one batch so a snapshot never sees hits > reads.
+        // Hit: the read and its hit are one batch so a snapshot never
+        // sees hits > reads.
         {
             let inner = dest.inner.lock();
             if let Some(c) = inner.chunks.get(&meta.chunk) {
@@ -969,16 +921,14 @@ impl<S: ObjectStore> TaskCache<S> {
         // overlap this runs inline on the reader's thread and fills warm
         // from the previous owner — the on-demand-miss-priority path.
         self.metrics.file_reads.inc();
-        span.label("outcome", "miss");
-        if let Err(e) = self.fill_chunk(owner, meta.chunk) {
-            if matches!(e, CacheError::StaleOwner { .. }) {
-                // A rebalance landed between route validation and the
-                // fill; surface the typed error so the caller re-routes.
-                self.metrics.stale_owner_retries.inc();
-                span.label("outcome", "stale_owner");
-            }
-            return Err(e);
+        let filled = self.fill_chunk(owner, meta.chunk);
+        if let Err(CacheError::StaleOwner { .. }) = filled {
+            self.metrics.stale_owner_retries.inc();
+            span.label("outcome", "stale_owner");
+        } else {
+            span.label("outcome", "miss");
         }
+        filled?;
         let inner = dest.inner.lock();
         let c = inner
             .chunks
@@ -1279,6 +1229,7 @@ mod tests {
     use diesel_kv::ShardedKv;
     use diesel_meta::MetaService;
     use diesel_store::MemObjectStore;
+    use std::collections::BTreeMap;
 
     /// Build a dataset of `files` files of `file_size` bytes in small
     /// chunks; returns (store, metadata service, file metas by name).
@@ -1597,10 +1548,6 @@ mod tests {
         }
         // The retired node is gone from the membership entirely.
         assert_eq!(c.node_resident_bytes(3), 0);
-        assert!(matches!(
-            c.resolve_owner(ChunkIdGenerator::deterministic(9, 9, 9).next_id()),
-            Err(CacheError::UnknownChunk(_))
-        ));
     }
 
     #[test]
@@ -1621,21 +1568,141 @@ mod tests {
     }
 
     #[test]
-    fn stale_owner_route_is_rejected_then_retried() {
+    fn fill_on_a_non_owner_is_rejected_as_stale() {
         let (store, metas, chunks) = dataset(20, 100, 1024);
         let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
         c.prefetch_all().unwrap();
-        let meta = &metas[0].1;
-        let (owner, epoch) = c.resolve_owner(meta.chunk).unwrap();
-        // A membership transition lands between resolve and fetch.
+        let loads = c.metrics().chunk_loads();
+        // A node that never owned the chunk: the fill refuses rather
+        // than planting a copy on it.
+        let chunk = metas[0].1.chunk;
+        let owner = c.partition().owner_of(chunk).unwrap();
+        let other = (owner + 1) % 4;
+        let held = c.node_resident_bytes(other);
+        assert_eq!(c.fill_chunk(other, chunk), Err(CacheError::StaleOwner { epoch: 0 }));
+        assert_eq!(c.node_resident_bytes(other), held, "nothing planted on the non-owner");
+        // An owner that a membership transition retired: the epoch in
+        // the error is the current one.
+        let before = c.partition();
         c.resize(8).unwrap();
-        match c.get_file_routed(meta, owner, epoch) {
-            Err(CacheError::StaleOwner { epoch: current }) => assert_eq!(current, 1),
-            other => panic!("stale route must be rejected, got {other:?}"),
+        let (moved, old_owner) = before
+            .chunks()
+            .iter()
+            .map(|&ch| (ch, before.owner_of(ch).unwrap()))
+            .find(|&(ch, old)| c.partition().owner_of(ch) != Some(old))
+            .expect("a 4→8 grow must move some chunk");
+        assert_eq!(c.fill_chunk(old_owner, moved), Err(CacheError::StaleOwner { epoch: 1 }));
+        assert_eq!(c.metrics().chunk_loads(), loads, "rejected fills never read the store");
+        // The read path routes against the live map and still hits.
+        for (_, meta) in &metas {
+            assert!(c.get_file(meta).unwrap().chunk_hit);
         }
-        assert!(c.metrics().stale_owner_retries() >= 1);
-        // The self-resolving read path retries internally and succeeds.
-        assert!(c.get_file(meta).unwrap().chunk_hit);
+    }
+
+    #[test]
+    fn reads_racing_resizes_count_each_stale_fill_once() {
+        // Every cache read is one `file_reads`; a fill that loses a race
+        // with a resize is one more `file_reads` *and* one
+        // `stale_owner_retries` before the read re-resolves. So the
+        // reads that returned plus stale retries must equal the counted
+        // reads exactly, whatever the interleaving. A budget of about
+        // two chunks per node keeps readers missing, so fills keep
+        // racing. Under that pressure a racing fill can evict a chunk
+        // between its fill and its slice; that read fails with
+        // `UnknownChunk` (the client then reads from the server) and is
+        // still one counted read.
+        let (store, metas, chunks) = dataset(80, 100, 1024);
+        let c = Arc::new(cache(store, chunks, 4, 2600, CachePolicy::OnDemand));
+        let metas = Arc::new(metas);
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..2)
+            .map(|t| {
+                let (c, metas, stop) = (Arc::clone(&c), Arc::clone(&metas), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let (mut returned, mut exhausted) = (0u64, 0u64);
+                    while !stop.load(Ordering::Acquire) {
+                        for (name, meta) in metas.iter().skip(t).step_by(2) {
+                            match c.get_file(meta) {
+                                Ok(f) => {
+                                    let k: usize = name[1..].parse().unwrap();
+                                    assert_eq!(f.data.as_ref(), &vec![(k % 251) as u8; 100][..]);
+                                }
+                                Err(CacheError::StaleOwner { .. }) => exhausted += 1,
+                                Err(CacheError::UnknownChunk(_)) => {}
+                                Err(e) => panic!("unexpected: {e}"),
+                            }
+                            returned += 1;
+                        }
+                    }
+                    (returned, exhausted)
+                })
+            })
+            .collect();
+        for n in [8, 4].repeat(40) {
+            c.resize(n).unwrap();
+        }
+        stop.store(true, Ordering::Release);
+        let (returned, exhausted) = readers
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold((0, 0), |(r, x), (r1, x1)| (r + r1, x + x1));
+        let m = c.metrics();
+        // A read that exhausts its retries returns `StaleOwner` after
+        // three stale fills: counted three times, returned once.
+        assert_eq!(m.file_reads() + exhausted, returned + m.stale_owner_retries());
+        assert_eq!(c.pending_handoffs(), 0);
+    }
+
+    #[test]
+    fn traced_and_untraced_reads_agree() {
+        use diesel_obs::{trace, Tracer};
+        // One fixed sequence: a miss, a hit, a read owned by a killed
+        // node and an unknown chunk. Returns each step's result and the
+        // cache counters after it.
+        type Step = (Result<(Bytes, usize, bool)>, BTreeMap<String, u64>);
+        fn run(traced: bool) -> (Vec<Step>, Vec<diesel_obs::Span>) {
+            let (store, metas, chunks) = dataset(40, 100, 1024);
+            let c = cache(store, chunks, 3, 1 << 30, CachePolicy::OnDemand);
+            let a = metas[0].1;
+            let owner_a = c.partition().owner_of(a.chunk).unwrap();
+            let b = metas
+                .iter()
+                .map(|(_, m)| *m)
+                .find(|m| c.partition().owner_of(m.chunk) != Some(owner_a))
+                .unwrap();
+            let mut foreign = a;
+            foreign.chunk = ChunkIdGenerator::deterministic(9, 9, 9).next_id();
+            let tracer = Tracer::enabled(&Arc::new(Registry::default()));
+            let _installed = traced.then(|| trace::install_tracer(&tracer));
+            let mut steps = Vec::new();
+            let mut read = |meta: &FileMeta| {
+                let r = c.get_file(meta).map(|f| (f.data, f.owner_node, f.chunk_hit));
+                steps.push((r, c.stats().counters));
+            };
+            read(&a);
+            read(&a);
+            c.kill_node(c.partition().owner_of(b.chunk).unwrap());
+            read(&b);
+            read(&foreign);
+            (steps, tracer.drain())
+        }
+        let (plain, no_spans) = run(false);
+        let (traced, spans) = run(true);
+        assert!(no_spans.is_empty());
+        assert_eq!(plain, traced, "tracing must not change results or counters");
+        assert!(matches!(plain[0].0, Ok((_, _, false))));
+        assert!(matches!(plain[1].0, Ok((_, _, true))));
+        assert!(matches!(plain[2].0, Err(CacheError::NodeDown { .. })));
+        assert!(matches!(plain[3].0, Err(CacheError::UnknownChunk(_))));
+        let outcomes: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.name == "cache.get")
+            .flat_map(|s| s.labels.iter().filter(|(k, _)| k == "outcome"))
+            .map(|(_, v)| v.as_str())
+            .collect();
+        // The unknown chunk never reaches a node, so it opens no span.
+        assert_eq!(outcomes, ["miss", "hit", "node_down"]);
+        assert_eq!(spans.iter().filter(|s| s.name == "cache.get").count(), 3);
     }
 
     #[test]
@@ -1665,6 +1732,12 @@ mod tests {
         assert_eq!(up.chunks_moved, down.chunks_moved, "the same chunks move back");
         assert_eq!(down.peer_warm_hits, down.chunks_moved);
         assert!((c.resident_fraction() - 1.0).abs() < 1e-9);
+        // The registry tells the same story as the reports.
+        let snap = c.stats();
+        let warm = snap.counter("cache.rebalance.peer_warm_hits{dataset=ds}");
+        assert_eq!(warm, up.peer_warm_hits + down.peer_warm_hits);
+        assert_eq!(snap.counter("cache.rebalance.store_fallbacks{dataset=ds}"), 0);
+        assert_eq!(snap.gauge("cache.membership_epoch{dataset=ds}"), 2);
     }
 
     /// A `MemObjectStore` whose read path can be switched to fail — the

@@ -36,7 +36,7 @@ impl Default for ChunkBuilderConfig {
 /// # Examples
 ///
 /// ```
-/// use diesel_chunk::{ChunkBuilder, ChunkIdGenerator, ChunkReader};
+/// use diesel_chunk::{ChunkBuilder, ChunkIdGenerator, ChunkView};
 ///
 /// let mut builder = ChunkBuilder::with_default_config();
 /// builder.add_file("train/cat/1.jpg", b"jpeg bytes").unwrap();
@@ -47,8 +47,8 @@ impl Default for ChunkBuilderConfig {
 /// assert_eq!(header.file_count(), 2);
 ///
 /// // The chunk is self-contained: parse it back with no other state.
-/// let reader = ChunkReader::parse(&bytes).unwrap();
-/// assert_eq!(reader.read_file("train/cat/1.jpg").unwrap(), b"jpeg bytes");
+/// let view = ChunkView::parse(bytes.into()).unwrap();
+/// assert_eq!(view.read_file("train/cat/1.jpg").unwrap(), b"jpeg bytes"[..]);
 /// ```
 #[derive(Debug)]
 pub struct ChunkBuilder {
@@ -246,7 +246,7 @@ impl<'a> ChunkWriter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::ChunkReader;
+    use crate::view::ChunkView;
 
     fn gen() -> ChunkIdGenerator {
         ChunkIdGenerator::deterministic(1, 1, 1000)
@@ -261,9 +261,9 @@ mod tests {
         let (header, bytes) = b.seal(ids.next_id(), 777);
         assert_eq!(header.updated_ms, 777);
         assert_eq!(header.file_count(), 2);
-        let r = ChunkReader::parse(&bytes).unwrap();
-        assert_eq!(r.read_file("x/a").unwrap(), b"hello");
-        assert_eq!(r.read_file("x/b").unwrap(), b"world!");
+        let r = ChunkView::parse(bytes.into()).unwrap();
+        assert_eq!(r.read_file("x/a").unwrap(), b"hello"[..]);
+        assert_eq!(r.read_file("x/b").unwrap(), b"world!"[..]);
     }
 
     #[test]
@@ -282,7 +282,7 @@ mod tests {
         for c in &chunks {
             assert!(c.bytes.len() <= 4096 + 1100, "chunk {} too big", c.bytes.len());
             // Chunks must be independently parseable (self-contained).
-            ChunkReader::parse(&c.bytes).unwrap();
+            ChunkView::parse(c.bytes.clone()).unwrap();
         }
         // IDs must be strictly increasing (sortable write order).
         for w in chunks.windows(2) {
@@ -374,8 +374,8 @@ mod tests {
         b.add_file("after", b"data").unwrap();
         let ids = gen();
         let (_, bytes) = b.seal(ids.next_id(), 0);
-        let r = ChunkReader::parse(&bytes).unwrap();
-        assert_eq!(r.read_file("empty").unwrap(), b"");
-        assert_eq!(r.read_file("after").unwrap(), b"data");
+        let r = ChunkView::parse(bytes.into()).unwrap();
+        assert_eq!(r.read_file("empty").unwrap(), b""[..]);
+        assert_eq!(r.read_file("after").unwrap(), b"data"[..]);
     }
 }

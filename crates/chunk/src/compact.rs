@@ -9,8 +9,9 @@
 use crate::builder::ChunkBuilder;
 use crate::format::ChunkHeader;
 use crate::id::ChunkIdGenerator;
-use crate::reader::ChunkReader;
+use crate::view::ChunkView;
 use crate::{ChunkBuilderConfig, Result};
+use diesel_util::Bytes;
 
 /// Statistics from one compaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,12 +33,12 @@ pub struct CompactionStats {
 /// the object instead of storing it; the empty chunk is still returned so
 /// the decision stays with the caller.
 pub fn compact_chunk(
-    chunk: &[u8],
+    chunk: Bytes,
     ids: &ChunkIdGenerator,
     updated_ms: u64,
 ) -> Result<Option<(ChunkHeader, Vec<u8>, CompactionStats)>> {
-    let reader = ChunkReader::parse(chunk)?;
-    let header = reader.header();
+    let view = ChunkView::parse(chunk)?;
+    let header = view.header();
     let dropped = header.deleted_count();
     if dropped == 0 {
         return Ok(None);
@@ -52,7 +53,7 @@ pub fn compact_chunk(
         if header.bitmap.is_deleted(i) {
             reclaimed += f.length;
         } else {
-            builder.add_file(&f.name, reader.read_file_at(i)?)?;
+            builder.add_file(&f.name, &view.read_file_at(i)?)?;
         }
     }
     let live = builder.file_count();
@@ -111,9 +112,9 @@ mod tests {
         let before_len = chunk.len();
         assert!(mark_deleted(&mut chunk, "a").unwrap());
         assert_eq!(chunk.len(), before_len);
-        let r = ChunkReader::parse(&chunk).unwrap();
+        let r = ChunkView::parse(Bytes::from(chunk.clone())).unwrap();
         assert!(matches!(r.read_file("a"), Err(crate::ChunkError::FileDeleted(_))));
-        assert_eq!(r.read_file("b").unwrap(), b"222");
+        assert_eq!(r.read_file("b").unwrap(), b"222"[..]);
         // Deleting again or deleting a missing file is a no-op.
         assert!(!mark_deleted(&mut chunk, "a").unwrap());
         assert!(!mark_deleted(&mut chunk, "zz").unwrap());
@@ -124,15 +125,16 @@ mod tests {
         let mut chunk = chunk_with(&[("a", b"aaaa"), ("b", b"bbbbbbbb"), ("c", b"cc")]);
         mark_deleted(&mut chunk, "b").unwrap();
         let ids = gen();
-        let (header, bytes, stats) = compact_chunk(&chunk, &ids, 99).unwrap().unwrap();
+        let (header, bytes, stats) =
+            compact_chunk(Bytes::from(chunk.clone()), &ids, 99).unwrap().unwrap();
         assert_eq!(stats.live_files, 2);
         assert_eq!(stats.dropped_files, 1);
         assert_eq!(stats.reclaimed_bytes, 8);
         assert_eq!(header.updated_ms, 99);
         assert_eq!(header.deleted_count(), 0);
-        let r = ChunkReader::parse(&bytes).unwrap();
-        assert_eq!(r.read_file("a").unwrap(), b"aaaa");
-        assert_eq!(r.read_file("c").unwrap(), b"cc");
+        let r = ChunkView::parse(Bytes::from(bytes.clone())).unwrap();
+        assert_eq!(r.read_file("a").unwrap(), b"aaaa"[..]);
+        assert_eq!(r.read_file("c").unwrap(), b"cc"[..]);
         assert!(r.read_file("b").is_err());
         assert!(bytes.len() < chunk.len());
     }
@@ -141,7 +143,7 @@ mod tests {
     fn compact_noop_without_deletions() {
         let chunk = chunk_with(&[("a", b"x")]);
         let ids = gen();
-        assert!(compact_chunk(&chunk, &ids, 1).unwrap().is_none());
+        assert!(compact_chunk(Bytes::from(chunk), &ids, 1).unwrap().is_none());
     }
 
     #[test]
@@ -150,10 +152,10 @@ mod tests {
         mark_deleted(&mut chunk, "a").unwrap();
         mark_deleted(&mut chunk, "b").unwrap();
         let ids = gen();
-        let (header, bytes, stats) = compact_chunk(&chunk, &ids, 1).unwrap().unwrap();
+        let (header, bytes, stats) = compact_chunk(Bytes::from(chunk), &ids, 1).unwrap().unwrap();
         assert_eq!(stats.live_files, 0);
         assert_eq!(header.file_count(), 0);
-        ChunkReader::parse(&bytes).unwrap();
+        ChunkView::parse(Bytes::from(bytes)).unwrap();
     }
 
     #[test]
@@ -164,7 +166,7 @@ mod tests {
         b.add_file("b", b"2").unwrap();
         let (orig_header, mut chunk) = b.seal(ids.next_id(), 1);
         mark_deleted(&mut chunk, "a").unwrap();
-        let (new_header, _, _) = compact_chunk(&chunk, &ids, 2).unwrap().unwrap();
+        let (new_header, _, _) = compact_chunk(Bytes::from(chunk), &ids, 2).unwrap().unwrap();
         assert!(new_header.id > orig_header.id, "compaction must sort later for recovery");
     }
 }

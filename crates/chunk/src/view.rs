@@ -1,20 +1,11 @@
-//! An owned, zero-copy view over one sealed chunk.
+//! The one parser of a sealed chunk: an owned, zero-copy view.
 //!
-//! [`ChunkReader`](crate::ChunkReader) borrows the raw buffer and hands
-//! out `&[u8]` — perfect for parse/verify, useless for a cache that
-//! must return payloads outliving any borrow. [`ChunkView`] is the
-//! owned counterpart for the payload plane: it wraps the chunk's
-//! [`Bytes`] and every file/range read is a refcount bump plus offset
-//! arithmetic, yielding `Bytes` sub-slices that share the chunk's one
-//! allocation. A cache hit is therefore pointer handoff, never memcpy —
-//! the invariant the `bytes.copied{site=…}` ledger asserts.
-//!
-//! Semantics mirror `ChunkReader` method-for-method (same errors, same
-//! CRC and deletion checks, same range clamping); a proptest below
-//! holds the two byte-identical and checks the returned slices really
-//! share the parent allocation.
-
-use std::collections::HashMap;
+//! [`ChunkView`] wraps the chunk's [`Bytes`] plus its decoded header,
+//! and every file/range read is a refcount bump plus offset arithmetic,
+//! yielding `Bytes` sub-slices that share the chunk's one allocation. A
+//! cache hit is therefore pointer handoff, never memcpy — the invariant
+//! the `bytes.copied{site=…}` ledger asserts. Parse, verify, compaction
+//! and the cache's payload plane all read chunks through it.
 
 use diesel_util::Bytes;
 
@@ -26,14 +17,11 @@ use crate::{ChunkError, Result};
 pub struct ChunkView {
     bytes: Bytes,
     header: ChunkHeader,
-    by_name: HashMap<String, usize>,
 }
 
 impl ChunkView {
     /// Parse a chunk buffer. Verifies header integrity and that the
-    /// payload is fully present — the same contract as
-    /// [`ChunkReader::parse`](crate::ChunkReader::parse), without
-    /// copying any payload bytes.
+    /// payload is fully present, without copying any payload bytes.
     pub fn parse(bytes: Bytes) -> Result<Self> {
         let header = ChunkHeader::decode(&bytes)?;
         Self::from_parts(bytes, header)
@@ -47,11 +35,7 @@ impl ChunkView {
         if bytes.len() < need {
             return Err(ChunkError::Truncated { need, have: bytes.len() });
         }
-        // The name map owns `String` keys cloned from the decoded
-        // header — a one-time metadata allocation per chunk load, not a
-        // payload copy (payload bytes are never touched).
-        let by_name = header.files.iter().enumerate().map(|(i, f)| (f.name.clone(), i)).collect();
-        Ok(ChunkView { bytes, header, by_name })
+        Ok(ChunkView { bytes, header })
     }
 
     /// The decoded header.
@@ -80,9 +64,12 @@ impl ChunkView {
         self.header.files.len()
     }
 
-    /// Find a file's index by exact name, whether live or deleted.
+    /// Find a file's index by exact name, whether live or deleted (the
+    /// last entry wins if a name repeats). A scan of the file table: no
+    /// serving path looks files up by name (the cache slices by
+    /// `FileMeta` offset), so no name index is built on load.
     pub fn find(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+        self.header.files.iter().rposition(|f| f.name == name)
     }
 
     /// Slice `offset ‖ length` out of the payload region — the
@@ -165,8 +152,8 @@ impl ChunkView {
 mod tests {
     use super::*;
     use crate::builder::ChunkBuilder;
+    use crate::compact::mark_deleted;
     use crate::id::ChunkIdGenerator;
-    use crate::reader::ChunkReader;
     use proptest::prelude::*;
 
     fn build(files: &[(&str, &[u8])]) -> Bytes {
@@ -179,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn reads_match_reader_and_share_the_allocation() {
+    fn reads_by_name_and_index_share_the_allocation() {
         let bytes = build(&[("a", b"one"), ("b/c", b"two"), ("d", b"three")]);
         let v = ChunkView::parse(bytes.clone()).unwrap();
         let got = v.read_file("b/c").unwrap();
@@ -192,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn range_reads_clamp_like_reader() {
+    fn range_reads_clamp_to_the_file() {
         let bytes = build(&[("f", b"0123456789")]);
         let v = ChunkView::parse(bytes.clone()).unwrap();
         assert_eq!(v.read_file_range("f", 2, 3).unwrap(), b"234"[..]);
@@ -202,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn corruption_and_truncation_mirror_reader() {
+    fn corruption_and_truncation_are_detected() {
         let mut raw = build(&[("f", b"sensitive-data")]).into_vec();
         let n = raw.len();
         raw[n - 2] ^= 0x01;
@@ -213,6 +200,27 @@ mod tests {
             ChunkView::parse(Bytes::from(raw[..n - 4].to_vec())),
             Err(ChunkError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn iter_files_reports_live_flags() {
+        let mut raw = build(&[("a", b"1"), ("b", b"2")]).into_vec();
+        let v = ChunkView::parse(Bytes::from(raw.clone())).unwrap();
+        let flags: Vec<bool> = v.iter_files().map(|(_, live, _)| live).collect();
+        assert_eq!(flags, vec![true, true]);
+        assert!(mark_deleted(&mut raw, "a").unwrap());
+        let v = ChunkView::parse(Bytes::from(raw)).unwrap();
+        let seen: Vec<(String, bool, Bytes)> =
+            v.iter_files().map(|(f, live, b)| (f.name.clone(), live, b)).collect();
+        assert_eq!(
+            seen,
+            vec![
+                ("a".into(), false, Bytes::from(&b"1"[..])),
+                ("b".into(), true, Bytes::from(&b"2"[..]))
+            ]
+        );
+        assert!(matches!(v.read_file("a"), Err(ChunkError::FileDeleted(_))));
+        assert_eq!(v.find("a"), Some(0), "deleted files are still found by name");
     }
 
     #[test]
@@ -228,13 +236,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn view_is_byte_identical_to_reader_and_zero_copy(
+        fn view_round_trips_builder_input_zero_copy(
             files in proptest::collection::vec(
                 ("[a-z]{1,12}(/[a-z]{1,8}){0,3}", proptest::collection::vec(any::<u8>(), 0..2000)),
                 1..20
             ),
             range in (0u64..3000, 0usize..3000),
         ) {
+            // De-duplicate names (chunk semantics assume unique names).
             let mut seen = std::collections::HashSet::new();
             let files: Vec<(String, Vec<u8>)> = files
                 .into_iter()
@@ -248,34 +257,37 @@ mod tests {
             let (_, raw) = b.seal(ids.next_id(), 5);
             let bytes = Bytes::from(raw);
             let v = ChunkView::parse(bytes.clone()).unwrap();
-            let r = ChunkReader::parse(&bytes).unwrap();
+            // The oracle is the builder's input, not a second parser.
             prop_assert!(v.verify_all().is_empty());
-            prop_assert_eq!(v.header(), r.header());
-            for (i, (n, _)) in files.iter().enumerate() {
-                prop_assert_eq!(v.find(n), r.find(n));
-                // Whole-file reads agree byte for byte…
+            prop_assert_eq!(v.file_count(), files.len());
+            for (i, (n, d)) in files.iter().enumerate() {
+                prop_assert_eq!(v.find(n), Some(i));
                 let owned = v.read_file(n).unwrap();
-                prop_assert_eq!(owned.as_slice(), r.read_file(n).unwrap());
-                // …and the owned read is a true view: it shares the
-                // parent allocation and its pointers land inside the
-                // parent's buffer (never a fresh copy).
+                prop_assert_eq!(owned.as_slice(), &d[..]);
+                // The read is a true view: it shares the parent
+                // allocation and its pointers land inside the parent's
+                // buffer (never a fresh copy).
                 prop_assert!(owned.shares_allocation(&bytes));
                 let parent = bytes.as_slice().as_ptr_range();
                 let sub = owned.as_slice().as_ptr_range();
                 prop_assert!(sub.start >= parent.start && sub.end <= parent.end);
-                // Range reads clamp identically.
+                // Range reads clamp to the file's end.
                 let (off, len) = range;
-                prop_assert_eq!(
-                    v.read_file_range(n, off, len).unwrap().as_slice(),
-                    r.read_file_range(n, off, len).unwrap()
-                );
-                // Unverified index reads agree too.
-                prop_assert_eq!(v.file_bytes(i).unwrap().as_slice(), r.file_bytes(i).unwrap());
+                let start = (off as usize).min(d.len());
+                let end = (start + len).min(d.len());
+                prop_assert_eq!(v.read_file_range(n, off, len).unwrap().as_slice(), &d[start..end]);
+                prop_assert_eq!(v.file_bytes(i).unwrap().as_slice(), &d[..]);
             }
+            let listed: Vec<(String, bool, Bytes)> =
+                v.iter_files().map(|(f, live, b)| (f.name.clone(), live, b)).collect();
+            let expected: Vec<(String, bool, Bytes)> =
+                files.iter().map(|(n, d)| (n.clone(), true, Bytes::from(d.clone()))).collect();
+            prop_assert_eq!(listed, expected);
         }
 
         #[test]
         fn arbitrary_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..600)) {
+            // Parsing must fail gracefully on fuzz input, never panic.
             let _ = ChunkView::parse(Bytes::from(data));
         }
     }

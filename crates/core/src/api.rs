@@ -489,7 +489,7 @@ mod tests {
             .unwrap()
             .into_bytes()
             .unwrap();
-        diesel_chunk::ChunkReader::parse(&chunk).unwrap();
+        diesel_chunk::ChunkView::parse(chunk).unwrap();
         let rec = conn
             .call(ServerRequest::DatasetRecord { dataset: ds() })
             .unwrap()

@@ -251,12 +251,18 @@ mod tests {
         c.put("k", "v");
         let rev = c.get("k").unwrap().revision;
         // A one-hour watch on virtual time: no wall-clock sleep, the
-        // watcher returns once the mock clock crosses the deadline.
+        // watcher returns once the mock clock crosses the deadline. The
+        // watcher computes its deadline only once it runs, so one early
+        // advance could land before it; keep pushing virtual time an
+        // hour ahead until the watcher has returned.
         let watcher = {
             let c = c.clone();
             std::thread::spawn(move || c.watch("k", rev, Duration::from_secs(3600)))
         };
-        clock.advance(3600 * 1_000_000_000 + 1);
+        while !watcher.is_finished() {
+            clock.advance(3600 * 1_000_000_000 + 1);
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(watcher.join().unwrap().is_none(), "virtual deadline must expire");
     }
 

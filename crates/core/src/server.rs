@@ -463,7 +463,7 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
                 .filter(|(i, _)| !old_header.bitmap.is_deleted(*i))
                 .map(|(_, f)| f.length)
                 .sum();
-            let Some((new_header, new_bytes, stats)) = compact_chunk(&bytes, &self.ids, now_ms)?
+            let Some((new_header, new_bytes, stats)) = compact_chunk(bytes, &self.ids, now_ms)?
             else {
                 continue;
             };
@@ -708,8 +708,8 @@ mod tests {
         let ids = s.meta().chunk_ids("ds").unwrap();
         assert_eq!(ids.len(), 1);
         let chunk = s.read_chunk("ds", ids[0]).unwrap();
-        let r = diesel_chunk::ChunkReader::parse(&chunk).unwrap();
-        assert_eq!(r.read_file("a").unwrap(), &[1u8; 10][..]);
+        let r = diesel_chunk::ChunkView::parse(chunk).unwrap();
+        assert_eq!(r.read_file("a").unwrap(), [1u8; 10][..]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   pattern needs to exist.
 //! * **R2 determinism** — no `Instant::now`/`SystemTime::now`/
 //!   `thread_rng`/`from_entropy` outside the clock module
-//!   (`diesel_util::clock` and its `diesel_net::clock` re-export shim).
+//!   (`diesel_util::clock`).
 //!   Bench, bin and test targets are exempt.
 //! * **R3 lock discipline** — no blocking `.call(…)` RPC or simulated
 //!   `sleep_ns(…)` in a scope holding a lock guard (scope-level
@@ -377,7 +377,7 @@ mod tests {
         assert!(!classify("crates/util/src/bytes.rs").r6, "Bytes owns its copies");
         assert!(classify("crates/util/src/sync.rs").r6);
         assert!(!classify("crates/util/src/clock.rs").r2, "clock module reads real time");
-        assert!(!classify("crates/net/src/clock.rs").r2, "re-export shim keeps old paths");
+        assert!(classify("crates/net/src/clock.rs").r2, "only the one clock module is exempt");
         let t = classify("crates/net/tests/integration.rs");
         assert!(!t.r1 && !t.r2 && !t.r3);
         let t = classify("crates/core/src/bin/dlcmd.rs");

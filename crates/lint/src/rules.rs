@@ -9,8 +9,8 @@ pub const R1_CRATES: &[&str] =
     &["core", "cache", "meta", "kv", "net", "store", "chunk", "obs", "exec", "util", "train"];
 
 /// Modules allowed to read real time or entropy (R2): the one clock
-/// implementation and its `diesel_net::clock` re-export shim.
-pub const R2_EXEMPT: &[&str] = &["crates/util/src/clock.rs", "crates/net/src/clock.rs"];
+/// implementation.
+pub const R2_EXEMPT: &[&str] = &["crates/util/src/clock.rs"];
 
 /// The only module allowed to reference chunk on-disk constants (R4).
 pub const R4_HOME: &str = "crates/chunk/src/format.rs";

@@ -1,11 +1,10 @@
 //! `diesel-net`: the one RPC layer for all inter-node traffic.
 //!
 //! DIESEL's components talk request/reply: clients call servers
-//! (ingest/read/metadata), cache nodes call peer cache nodes (chunk
-//! fetches), and simulations charge those same calls to modeled
-//! resources. Before this crate each of those paths hand-rolled its own
-//! crossbeam request/reply plumbing; now they all speak one typed
-//! [`Service`] abstraction and compose the same middleware.
+//! (ingest/read/metadata), servers are load-balanced as a pool, and
+//! simulations charge those same calls to modeled resources. They all
+//! speak one typed [`Service`] abstraction and compose the same
+//! middleware.
 //!
 //! # Pieces
 //!
@@ -16,13 +15,13 @@
 //!   `DieselClient` when connected to a co-located server; preserves the
 //!   zero-copy, zero-queue behavior of calling the server directly.
 //! - [`ThreadServer`]/[`ThreadChannel`] — a serving thread fed by a
-//!   crossbeam channel, one reply channel per call. Generalizes the old
-//!   `PeerServer`/`PeerHandle` pair from `diesel-cache`.
+//!   crossbeam channel, one reply channel per call.
 //! - [`SimCostChannel`] — wraps any channel and charges each call's
 //!   latency to a [`diesel_simnet::Resource`], advancing a simulated
 //!   clock (queueing included).
 //! - [`Retry`] — bounded retries with exponential backoff on retryable
-//!   errors, driven by an injectable [`Clock`] so tests never sleep.
+//!   errors, driven by an injectable [`Clock`](diesel_util::clock::Clock)
+//!   so tests never sleep.
 //! - [`FaultChannel`] — seeded fault injection (drop → timeout, delay,
 //!   reject, permanent disconnect) for exercising failure paths
 //!   deterministically.
@@ -33,7 +32,6 @@
 //!   with failover past disconnected ones.
 
 pub mod balance;
-pub mod clock;
 pub mod direct;
 pub mod fault;
 pub mod retry;
@@ -42,7 +40,6 @@ pub mod stats;
 pub mod thread;
 
 pub use balance::BalancedChannel;
-pub use clock::{Clock, MockClock, SystemClock};
 pub use direct::DirectChannel;
 pub use fault::{FaultChannel, FaultPolicy};
 pub use retry::{Retry, RetryPolicy};

@@ -3,15 +3,15 @@
 //! Retries only errors where a retry can help ([`crate::NetError::is_retryable`],
 //! i.e. timeouts — the reply may simply have been lost). Backoff waits go
 //! through the injected [`Clock`], so tests drive the schedule with a
-//! [`MockClock`](crate::MockClock) and never sleep for real.
+//! [`MockClock`](diesel_util::clock::MockClock) and never sleep for real.
 
 use std::sync::Arc;
 
 use diesel_obs::trace;
 
-use crate::clock::Clock;
 use crate::stats::EndpointMetrics;
 use crate::{Endpoint, Result, Service};
+use diesel_util::clock::Clock;
 
 /// When and how much to back off.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,9 +117,9 @@ impl<S> std::fmt::Debug for Retry<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::MockClock;
     use crate::direct::DirectChannel;
     use crate::NetError;
+    use diesel_util::clock::MockClock;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn flaky(fail_first: u32) -> (DirectChannel<impl Fn(u32) -> Result<u32>>, Arc<AtomicU32>) {

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use diesel_obs::trace;
 use diesel_obs::{Counter, HistogramHandle, Registry, Summary};
 
-use crate::clock::Clock;
 use crate::{Endpoint, NetError, Result, Service};
+use diesel_util::clock::Clock;
 
 /// Metric handles for one endpoint. Cheap to clone; clones share the
 /// registry cells.
@@ -143,8 +143,8 @@ impl<S> std::fmt::Debug for Instrumented<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::MockClock;
     use crate::direct::DirectChannel;
+    use diesel_util::clock::MockClock;
 
     fn registry() -> Registry {
         Registry::new(Arc::new(MockClock::new()))

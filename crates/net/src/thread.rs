@@ -1,10 +1,8 @@
 //! Serving-thread transport: one thread owns the state, callers send
 //! requests over an mpsc channel and block on a per-call reply channel.
 //!
-//! This generalizes the `PeerServer`/`PeerHandle` pair that used to live
-//! in `diesel-cache`: the request enum, reply-sender plumbing, shutdown
-//! message, and deadline handling are all here, so transports only
-//! provide a handler closure.
+//! The reply-sender plumbing, shutdown message, and deadline handling
+//! are all here, so transports only provide a handler closure.
 //!
 //! Calls carry the caller's [`TraceContext`] across the thread hop: the
 //! serving thread installs it around the handler, so spans opened while

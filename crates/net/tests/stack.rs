@@ -6,10 +6,11 @@
 use std::sync::Arc;
 
 use diesel_net::{
-    Channel, Clock, Endpoint, EndpointMetrics, FaultChannel, FaultPolicy, Instrumented, MockClock,
-    NetError, Retry, RetryPolicy, Service, ThreadServer,
+    Channel, Endpoint, EndpointMetrics, FaultChannel, FaultPolicy, Instrumented, NetError, Retry,
+    RetryPolicy, Service, ThreadServer,
 };
 use diesel_obs::Registry;
+use diesel_util::clock::{Clock, MockClock};
 
 struct Stack {
     chan: Channel<u64, u64>,

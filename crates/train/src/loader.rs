@@ -152,12 +152,6 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DataLoader<K, S> {
         }))
     }
 
-    /// Read one epoch as mini-batches, in this epoch's shuffled order.
-    #[deprecated(note = "materialises the whole epoch in memory; stream with `epoch_iter` instead")]
-    pub fn epoch_batches(&self, epoch: u64) -> diesel_core::Result<Vec<(Matrix, Vec<usize>)>> {
-        self.epoch_iter(epoch)?.collect()
-    }
-
     /// Number of files per epoch.
     pub fn dataset_len(&self) -> diesel_core::Result<usize> {
         Ok(self.client.file_list()?.len())
@@ -291,20 +285,6 @@ mod tests {
                 assert_eq!(g.1, b.1, "labels diverge at workers={workers}");
                 assert_eq!(g.0.data, b.0.data, "features diverge at workers={workers}");
             }
-        }
-    }
-
-    #[test]
-    fn deprecated_epoch_batches_still_materialises_the_epoch() {
-        let (client, _) = setup(20);
-        let loader = DataLoader::new(client, 6, 2);
-        #[allow(deprecated)]
-        let eager = loader.epoch_batches(0).unwrap();
-        let streamed = collect(&loader, 0);
-        assert_eq!(eager.len(), streamed.len());
-        for (e, s) in eager.iter().zip(&streamed) {
-            assert_eq!(e.1, s.1);
-            assert_eq!(e.0.data, s.0.data);
         }
     }
 

@@ -225,17 +225,13 @@ enum ChunkFill {
     Store(u64),
 }
 
-/// A resident chunk: an owned [`ChunkView`] over the loaded buffer.
-/// Every file served from it is a `Bytes` sub-slice of the chunk's one
-/// allocation — cache hits never copy payload (DESIGN.md §11).
-#[derive(Debug)]
-struct CachedChunk {
-    view: ChunkView,
-}
-
 #[derive(Debug, Default)]
 struct NodeInner {
-    chunks: HashMap<ChunkId, CachedChunk>,
+    /// Resident chunks: a shared [`ChunkView`] over each loaded buffer.
+    /// Every file served from one is a `Bytes` sub-slice of the chunk's
+    /// one allocation — cache hits never copy payload (DESIGN.md §11) —
+    /// and a fill hands its view to the read that asked for it.
+    chunks: HashMap<ChunkId, Arc<ChunkView>>,
     lru: VecDeque<ChunkId>,
     resident_bytes: u64,
 }
@@ -403,7 +399,7 @@ impl<S: ObjectStore> TaskCache<S> {
             while inner.resident_bytes > bytes {
                 let Some(victim) = inner.lru.pop_front() else { break };
                 if let Some(v) = inner.chunks.remove(&victim) {
-                    inner.resident_bytes -= v.view.chunk_len() as u64;
+                    inner.resident_bytes -= v.chunk_len() as u64;
                     self.metrics.evictions.inc();
                 }
             }
@@ -841,7 +837,7 @@ impl<S: ObjectStore> TaskCache<S> {
             // reload their partition when they return.
             return Ok(ChunkFill::Resident);
         }
-        self.fill_chunk(to, chunk)
+        self.fill_chunk(to, chunk).map(|(fill, _)| fill)
     }
 
     /// Handoff windows still open: moved chunks whose relocation has
@@ -920,6 +916,8 @@ impl<S: ObjectStore> TaskCache<S> {
         // evicted under memory pressure), then serve. During a rebalance
         // overlap this runs inline on the reader's thread and fills warm
         // from the previous owner — the on-demand-miss-priority path.
+        // The fill hands back the view it installed (or found), so the
+        // read is served even if a racing fill evicts the chunk first.
         self.metrics.file_reads.inc();
         let filled = self.fill_chunk(owner, meta.chunk);
         if let Err(CacheError::StaleOwner { .. }) = filled {
@@ -928,20 +926,15 @@ impl<S: ObjectStore> TaskCache<S> {
         } else {
             span.label("outcome", "miss");
         }
-        filled?;
-        let inner = dest.inner.lock();
-        let c = inner
-            .chunks
-            .get(&meta.chunk)
-            .ok_or_else(|| CacheError::UnknownChunk(meta.chunk.encode()))?;
-        let data = slice_file(c, meta)?;
+        let (_, view) = filled?;
+        let data = slice_file(&view, meta)?;
         Ok(Fetched { data, owner_node: owner, chunk_hit: false })
     }
 
     /// Ensure `chunk` is resident on `node`; returns `(loaded now?,
     /// chunk bytes)`. Prefetch/recovery sweeps use this shape.
     fn ensure_chunk(&self, node: usize, chunk: ChunkId) -> Result<(bool, u64)> {
-        match self.fill_chunk(node, chunk)? {
+        match self.fill_chunk(node, chunk)?.0 {
             ChunkFill::Resident => Ok((false, 0)),
             ChunkFill::Warm(b) | ChunkFill::Store(b) => Ok((true, b)),
         }
@@ -949,7 +942,9 @@ impl<S: ObjectStore> TaskCache<S> {
 
     /// Make `chunk` resident on `node`, preferring the previous owner's
     /// memory (warm handoff) when the chunk is mid-relocation, else the
-    /// backing store.
+    /// backing store. Returns how it became resident and the view it
+    /// installed — or found resident, or lost a racing install with —
+    /// so a miss can be served without looking the chunk up again.
     ///
     /// Route validation, the residency check, and the handoff lookup
     /// happen under one membership read guard: a rebalance's Phase 1
@@ -960,9 +955,9 @@ impl<S: ObjectStore> TaskCache<S> {
     /// a ghost residency that a later resize mistakes for a completed
     /// move (its fill returns `Resident`, silently skipping the warm
     /// handoff).
-    fn fill_chunk(&self, node: usize, chunk: ChunkId) -> Result<ChunkFill> {
+    fn fill_chunk(&self, node: usize, chunk: ChunkId) -> Result<(ChunkFill, Arc<ChunkView>)> {
         enum Plan {
-            Warm(Arc<NodeState>, ChunkView),
+            Warm(Arc<NodeState>, Arc<ChunkView>),
             Fallback(Option<Arc<NodeState>>),
         }
         let (dest, plan) = {
@@ -976,15 +971,15 @@ impl<S: ObjectStore> TaskCache<S> {
             let Some(dest) = m.nodes.get(&node).cloned() else {
                 return Err(CacheError::NodeDown { node });
             };
-            if dest.inner.lock().chunks.contains_key(&chunk) {
-                return Ok(ChunkFill::Resident);
+            if let Some(view) = dest.inner.lock().chunks.get(&chunk) {
+                return Ok((ChunkFill::Resident, Arc::clone(view)));
             }
             // Warm handoff: if this chunk is mid-relocation, its
-            // previous owner may still hold it — a refcounted view
-            // clone, no store read, no payload copy.
+            // previous owner may still hold it — a shared view, no
+            // store read, no payload copy.
             let plan = match m.handoff.get(&chunk) {
                 Some(src) => {
-                    let warm = src.inner.lock().chunks.get(&chunk).map(|c| c.view.clone());
+                    let warm = src.inner.lock().chunks.get(&chunk).map(Arc::clone);
                     match warm {
                         Some(view) => Plan::Warm(Arc::clone(src), view),
                         // The previous owner no longer holds it
@@ -1006,35 +1001,39 @@ impl<S: ObjectStore> TaskCache<S> {
         match plan {
             Plan::Warm(src, view) => {
                 let size = view.chunk_len() as u64;
-                if !self.install_chunk(&dest, chunk, view) {
-                    return Ok(ChunkFill::Resident); // raced; winner counts
+                if !self.install_chunk(&dest, chunk, Arc::clone(&view)) {
+                    return Ok((ChunkFill::Resident, view)); // raced; winner counts
                 }
                 self.registry.batch(|| {
                     self.metrics.rebalance_warm_hits.inc();
                     self.metrics.rebalance_bytes.add(size);
                 });
                 self.complete_handoff(chunk, &src);
-                Ok(ChunkFill::Warm(size))
+                Ok((ChunkFill::Warm(size), view))
             }
             Plan::Fallback(Some(src)) => {
-                let size = self.load_from_store(&dest, chunk)?;
-                if size == 0 {
-                    return Ok(ChunkFill::Resident); // raced; winner counts
+                let (fill, view) = self.load_from_store(&dest, chunk)?;
+                if let ChunkFill::Store(size) = fill {
+                    self.registry.batch(|| {
+                        self.metrics.rebalance_fallbacks.inc();
+                        self.metrics.rebalance_bytes.add(size);
+                    });
+                    self.complete_handoff(chunk, &src);
                 }
-                self.registry.batch(|| {
-                    self.metrics.rebalance_fallbacks.inc();
-                    self.metrics.rebalance_bytes.add(size);
-                });
-                self.complete_handoff(chunk, &src);
-                Ok(ChunkFill::Store(size))
+                Ok((fill, view))
             }
-            Plan::Fallback(None) => Ok(ChunkFill::Store(self.load_from_store(&dest, chunk)?)),
+            Plan::Fallback(None) => self.load_from_store(&dest, chunk),
         }
     }
 
-    /// Load `chunk` from the backing store into `dest`. Returns the
-    /// chunk size (0 when a racing fill installed it first).
-    fn load_from_store(&self, dest: &Arc<NodeState>, chunk: ChunkId) -> Result<u64> {
+    /// Load `chunk` from the backing store into `dest`: `Store(size)`
+    /// with the installed view, or `Resident` with the loaded view when
+    /// a racing fill installed the chunk first (the racer counts).
+    fn load_from_store(
+        &self,
+        dest: &Arc<NodeState>,
+        chunk: ChunkId,
+    ) -> Result<(ChunkFill, Arc<ChunkView>)> {
         let key = chunk_object_key(&self.dataset, chunk);
         // The miss path's fetch from the backing store (the peer/load
         // leg of a cache read) is its own child span.
@@ -1059,9 +1058,10 @@ impl<S: ObjectStore> TaskCache<S> {
                 )));
             }
         }
+        let view = Arc::new(view);
         let size = view.chunk_len() as u64;
-        if !self.install_chunk(dest, chunk, view) {
-            return Ok(0); // raced with another client
+        if !self.install_chunk(dest, chunk, Arc::clone(&view)) {
+            return Ok((ChunkFill::Resident, view)); // raced with another client
         }
         // A load and its bytes are one batch: a snapshot never shows a
         // chunk counted without its bytes (the tearing the old
@@ -1070,12 +1070,12 @@ impl<S: ObjectStore> TaskCache<S> {
             self.metrics.chunk_loads.inc();
             self.metrics.bytes_loaded.add(size);
         });
-        Ok(size)
+        Ok((ChunkFill::Store(size), view))
     }
 
     /// Insert a resident chunk into `dest` under its LRU budget.
     /// Returns false when the chunk was already there (racing fill).
-    fn install_chunk(&self, dest: &Arc<NodeState>, chunk: ChunkId, view: ChunkView) -> bool {
+    fn install_chunk(&self, dest: &Arc<NodeState>, chunk: ChunkId, view: Arc<ChunkView>) -> bool {
         let size = view.chunk_len() as u64;
         let mut inner = dest.inner.lock();
         if inner.chunks.contains_key(&chunk) {
@@ -1087,11 +1087,11 @@ impl<S: ObjectStore> TaskCache<S> {
         while inner.resident_bytes + size > capacity {
             let Some(victim) = inner.lru.pop_front() else { break };
             if let Some(v) = inner.chunks.remove(&victim) {
-                inner.resident_bytes -= v.view.chunk_len() as u64;
+                inner.resident_bytes -= v.chunk_len() as u64;
                 self.metrics.evictions.inc();
             }
         }
-        inner.chunks.insert(chunk, CachedChunk { view });
+        inner.chunks.insert(chunk, view);
         inner.lru.push_back(chunk);
         inner.resident_bytes += size;
         true
@@ -1121,15 +1121,15 @@ impl<S: ObjectStore> TaskCache<S> {
 fn evict_residency(st: &NodeState, chunk: ChunkId) {
     let mut inner = st.inner.lock();
     if let Some(v) = inner.chunks.remove(&chunk) {
-        inner.resident_bytes -= v.view.chunk_len() as u64;
+        inner.resident_bytes -= v.chunk_len() as u64;
         if let Some(pos) = inner.lru.iter().position(|&c| c == chunk) {
             inner.lru.remove(pos);
         }
     }
 }
 
-fn slice_file(c: &CachedChunk, meta: &FileMeta) -> Result<Bytes> {
-    c.view.slice_payload(meta.offset, meta.length).map_err(|e| CacheError::Corrupt(e.to_string()))
+fn slice_file(view: &ChunkView, meta: &FileMeta) -> Result<Bytes> {
+    view.slice_payload(meta.offset, meta.length).map_err(|e| CacheError::Corrupt(e.to_string()))
 }
 
 /// Handle to a background prefetch sweep started by
@@ -1579,7 +1579,7 @@ mod tests {
         let owner = c.partition().owner_of(chunk).unwrap();
         let other = (owner + 1) % 4;
         let held = c.node_resident_bytes(other);
-        assert_eq!(c.fill_chunk(other, chunk), Err(CacheError::StaleOwner { epoch: 0 }));
+        assert!(matches!(c.fill_chunk(other, chunk), Err(CacheError::StaleOwner { epoch: 0 })));
         assert_eq!(c.node_resident_bytes(other), held, "nothing planted on the non-owner");
         // An owner that a membership transition retired: the epoch in
         // the error is the current one.
@@ -1591,7 +1591,7 @@ mod tests {
             .map(|&ch| (ch, before.owner_of(ch).unwrap()))
             .find(|&(ch, old)| c.partition().owner_of(ch) != Some(old))
             .expect("a 4→8 grow must move some chunk");
-        assert_eq!(c.fill_chunk(old_owner, moved), Err(CacheError::StaleOwner { epoch: 1 }));
+        assert!(matches!(c.fill_chunk(old_owner, moved), Err(CacheError::StaleOwner { epoch: 1 })));
         assert_eq!(c.metrics().chunk_loads(), loads, "rejected fills never read the store");
         // The read path routes against the live map and still hits.
         for (_, meta) in &metas {
@@ -1608,9 +1608,8 @@ mod tests {
         // reads exactly, whatever the interleaving. A budget of about
         // two chunks per node keeps readers missing, so fills keep
         // racing. Under that pressure a racing fill can evict a chunk
-        // between its fill and its slice; that read fails with
-        // `UnknownChunk` (the client then reads from the server) and is
-        // still one counted read.
+        // between its fill and its slice; the read is still served,
+        // from the view its fill produced — never `UnknownChunk`.
         let (store, metas, chunks) = dataset(80, 100, 1024);
         let c = Arc::new(cache(store, chunks, 4, 2600, CachePolicy::OnDemand));
         let metas = Arc::new(metas);
@@ -1628,7 +1627,6 @@ mod tests {
                                     assert_eq!(f.data.as_ref(), &vec![(k % 251) as u8; 100][..]);
                                 }
                                 Err(CacheError::StaleOwner { .. }) => exhausted += 1,
-                                Err(CacheError::UnknownChunk(_)) => {}
                                 Err(e) => panic!("unexpected: {e}"),
                             }
                             returned += 1;
@@ -1816,7 +1814,7 @@ mod tests {
         {
             let m = c.membership.read();
             let cur_owner = m.partition.owner_of(chunk).unwrap();
-            let view = m.nodes[&cur_owner].inner.lock().chunks[&chunk].view.clone();
+            let view = Arc::clone(&m.nodes[&cur_owner].inner.lock().chunks[&chunk]);
             let dest = Arc::clone(&m.nodes[&back_to]);
             let orphan_src = Arc::clone(&m.nodes[&7]);
             drop(m);

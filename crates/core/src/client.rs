@@ -45,7 +45,41 @@ pub struct ClientConfig {
 struct MetaState {
     snapshot: MetaSnapshot,
     namespace: Namespace,
-    index: DatasetIndex,
+    /// Shared with every [`EpochOrder`] planned against it, so a later
+    /// snapshot install never re-points an epoch already under way.
+    index: Arc<DatasetIndex>,
+}
+
+/// One epoch's shuffled order, pinned to the dataset index it was
+/// planned against ([`DieselClient::plan_epoch`]).
+///
+/// Positions resolve to paths only when asked for, so starting an epoch
+/// costs the shuffle plan, not a materialised path list. A
+/// `download_meta`/`load_meta` after planning installs a new index and
+/// leaves this order — and every path it resolves — unchanged.
+#[derive(Debug, Clone)]
+pub struct EpochOrder {
+    plan: ShufflePlan,
+    index: Arc<DatasetIndex>,
+}
+
+impl EpochOrder {
+    /// Number of files in the epoch.
+    pub fn len(&self) -> usize {
+        self.plan.len()
+    }
+
+    /// True when the epoch has no files.
+    pub fn is_empty(&self) -> bool {
+        self.plan.is_empty()
+    }
+
+    /// The paths at positions `range` of the order, in order (empty
+    /// when `range` is out of bounds).
+    pub fn paths(&self, range: std::ops::Range<usize>) -> Vec<String> {
+        let items = self.plan.items.get(range).unwrap_or_default();
+        items.iter().map(|&i| self.index.resolve(i).1.to_owned()).collect()
+    }
 }
 
 /// One libDIESEL client instance.
@@ -289,7 +323,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
 
     fn install_snapshot(&self, snapshot: MetaSnapshot) {
         let namespace = snapshot.build_namespace();
-        let index = build_index(&snapshot);
+        let index = Arc::new(build_index(&snapshot));
         *self.meta.write() = Some(MetaState { snapshot, namespace, index });
     }
 
@@ -480,26 +514,34 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         *self.shuffle.write() = Some(kind);
     }
 
+    /// Plan this epoch's order against the loaded snapshot. Paths are
+    /// resolved lazily through the returned [`EpochOrder`], which keeps
+    /// the index it planned against alive.
+    pub fn plan_epoch(&self, seed: u64, epoch: u64) -> Result<EpochOrder> {
+        let kind = (*self.shuffle.read())
+            .ok_or_else(|| DieselError::Client("call enable_shuffle first".into()))?;
+        let index = {
+            let guard = self.meta.read();
+            let state = guard
+                .as_ref()
+                .ok_or_else(|| DieselError::Client("no metadata snapshot loaded".into()))?;
+            Arc::clone(&state.index)
+        };
+        let plan = epoch_order(&index, kind, seed, epoch);
+        Ok(EpochOrder { plan, index })
+    }
+
     /// Generate this epoch's shuffled file list (the list the training
     /// framework reads; FUSE users fetch it via a helper file).
     pub fn epoch_file_list(&self, seed: u64, epoch: u64) -> Result<Vec<String>> {
-        let plan = self.epoch_plan(seed, epoch)?;
-        let guard = self.meta.read();
-        let state =
-            guard.as_ref().ok_or_else(|| DieselError::Client("metadata not downloaded".into()))?;
-        Ok(plan.items.iter().map(|&i| state.index.resolve(i).1.to_owned()).collect())
+        let order = self.plan_epoch(seed, epoch)?;
+        Ok(order.paths(0..order.len()))
     }
 
     /// The raw shuffle plan (group boundaries included), for working-set
     /// accounting and chunk-prefetch decisions.
     pub fn epoch_plan(&self, seed: u64, epoch: u64) -> Result<ShufflePlan> {
-        let kind = (*self.shuffle.read())
-            .ok_or_else(|| DieselError::Client("call enable_shuffle first".into()))?;
-        let guard = self.meta.read();
-        let state = guard
-            .as_ref()
-            .ok_or_else(|| DieselError::Client("no metadata snapshot loaded".into()))?;
-        Ok(epoch_order(&state.index, kind, seed, epoch))
+        Ok(self.plan_epoch(seed, epoch)?.plan)
     }
 
     /// `DL_close`: flush outstanding writes and drop local state.

@@ -35,7 +35,7 @@ pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionController, Permit};
 pub use api::{ServerConn, ServerReply, ServerRequest, ServerResponse};
-pub use client::{ClientConfig, DieselClient};
+pub use client::{ClientConfig, DieselClient, EpochOrder};
 pub use config::{ConfigEntry, ConfigService};
 pub use executor::{plan_chunk_reads, ChunkReadPlan};
 pub use fuse::{FuseConfig, FuseMount, FuseStats};

@@ -23,12 +23,12 @@
 //!   fan-out over borrowed data. Results are written into per-item
 //!   slots, so the output order (and the first error, for `try_map`) is
 //!   deterministic regardless of worker count or scheduling.
-//! * [`PipelineIter`] ([`WorkPool::pipeline`]) — a bounded-channel
-//!   pipeline stage: N workers pull `(seq, item)` records from a shared
-//!   source, apply the stage function, and the consumer reorders by
-//!   sequence number, so the stream is byte-identical to the serial
-//!   loop for any worker count. Stages chain by using one pipeline as
-//!   the next one's source.
+//! * [`PipelineIter`] ([`WorkPool::pipeline`]) — a bounded pipeline
+//!   stage: `max(pool workers, depth)` workers pull `(seq, item)`
+//!   records from a shared source, apply the stage function, and the
+//!   consumer reorders by sequence number, so the stream is
+//!   byte-identical to the serial loop for any worker count. Stages
+//!   chain by using one pipeline as the next one's source.
 //!
 //! ## Determinism mode
 //!

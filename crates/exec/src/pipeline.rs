@@ -11,9 +11,13 @@
 //! never bytes.
 //!
 //! Stages chain naturally: a `PipelineIter` is `Send`, so it can be the
-//! source of the next `pipeline` call (fetch → decode → train). The
-//! bounded channel between stages is the backpressure: a fast producer
-//! blocks once `depth` results are waiting.
+//! source of the next `pipeline` call (fetch → decode → train). A
+//! threaded stage runs `max(pool workers, depth)` workers, so `depth`
+//! items are in flight at once even on a narrow pool — a stage whose
+//! function waits on I/O overlaps `depth` waits, not one per core. The
+//! read-ahead window is the backpressure: at most `width + depth` items
+//! are pulled from the source and not yet yielded, however unevenly
+//! they complete, so a stage holds at most that many results.
 //!
 //! Dropping the iterator mid-stream shuts the stage down gracefully —
 //! workers observe the cancel flag / closed channel, stop pulling from
@@ -38,6 +42,9 @@ struct SourceState<I> {
 struct StageCtx<I, T> {
     source: Arc<Mutex<SourceState<I>>>,
     out: Arc<Bounded<(u64, StageResult<T>)>>,
+    /// One token per item pulled and not yet yielded; a worker takes a
+    /// token before it pulls, so a full window stalls the stage.
+    window: Arc<Bounded<()>>,
     f: Arc<dyn Fn(I) -> T + Send + Sync>,
     cancel: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
@@ -52,7 +59,7 @@ struct StageCtx<I, T> {
 fn stage_loop<I, T>(ctx: StageCtx<I, T>) {
     let _trace = ctx.ambient.install();
     loop {
-        if ctx.cancel.load(Ordering::Acquire) {
+        if ctx.cancel.load(Ordering::Acquire) || ctx.window.push(()).is_err() {
             break;
         }
         // Assign the sequence number under the same lock as the pull so
@@ -83,6 +90,7 @@ fn stage_loop<I, T>(ctx: StageCtx<I, T>) {
 
 struct Threaded<T> {
     out: Arc<Bounded<(u64, StageResult<T>)>>,
+    window: Arc<Bounded<()>>,
     cancel: Arc<AtomicBool>,
     handles: Vec<std::thread::JoinHandle<()>>,
     /// Results that arrived ahead of `next_seq`, awaiting their turn.
@@ -94,6 +102,7 @@ impl<T> Drop for Threaded<T> {
     fn drop(&mut self) {
         self.cancel.store(true, Ordering::Release);
         self.out.close();
+        self.window.close();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -120,6 +129,7 @@ impl<T> Iterator for PipelineIter<T> {
             Inner::Threaded(t) => loop {
                 if let Some(r) = t.buf.remove(&t.next_seq) {
                     t.next_seq += 1;
+                    t.window.try_pop();
                     match r {
                         Ok(v) => return Some(v),
                         Err(payload) => std::panic::resume_unwind(payload),
@@ -155,18 +165,22 @@ impl<T> std::fmt::Debug for PipelineIter<T> {
 impl WorkPool {
     /// Run `f` over `source` concurrently, yielding results in source
     /// order. `stage` names the stage in metrics
-    /// (`exec.pipeline_items{pool=…,stage=…}`); `depth` bounds how many
-    /// finished results may wait for the consumer (the inter-stage
-    /// backpressure).
+    /// (`exec.pipeline_items{pool=…,stage=…}`); `depth` is how many
+    /// items the stage keeps in flight ahead of the consumer.
     ///
     /// On an inline pool (`workers <= 1`) no threads are spawned: each
     /// `next()` pulls one item and applies `f` on the calling thread,
     /// which keeps the stream — and everything downstream of it —
     /// deterministic.
     ///
-    /// Stage workers are dedicated threads (the stage lives as long as
-    /// the returned iterator, which must not tie up pool workers), but
-    /// their count follows the pool's configured width.
+    /// Otherwise the stage runs `width = max(pool.workers(), depth)`
+    /// dedicated threads (the stage lives as long as the returned
+    /// iterator, which must not tie up pool workers), so `depth` calls
+    /// of `f` overlap even on a pool narrower than `depth`. Memory stays
+    /// bounded: at most `width + depth` items are pulled from `source`
+    /// and not yet yielded — `depth` finished results wait for the
+    /// consumer while the rest are in flight or awaiting their turn in
+    /// source order.
     pub fn pipeline<SRC, I, T, F>(
         &self,
         stage: &str,
@@ -202,8 +216,10 @@ impl WorkPool {
             return PipelineIter { inner: Inner::Inline(pull) };
         }
 
-        let workers = self.workers();
-        let out: Arc<Bounded<(u64, StageResult<T>)>> = Arc::new(Bounded::new(depth.max(1)));
+        let depth = depth.max(1);
+        let workers = self.workers().max(depth);
+        let out: Arc<Bounded<(u64, StageResult<T>)>> = Arc::new(Bounded::new(depth));
+        let window = Arc::new(Bounded::new(workers + depth));
         let source: Arc<Mutex<SourceState<I>>> = Arc::new(Mutex::named(
             "exec.pipeline_source",
             SourceState { iter: Box::new(source), seq: 0 },
@@ -217,6 +233,7 @@ impl WorkPool {
             let ctx = StageCtx {
                 source: Arc::clone(&source),
                 out: Arc::clone(&out),
+                window: Arc::clone(&window),
                 f: Arc::clone(&f),
                 cancel: Arc::clone(&cancel),
                 active: Arc::clone(&active),
@@ -256,6 +273,7 @@ impl WorkPool {
         PipelineIter {
             inner: Inner::Threaded(Threaded {
                 out,
+                window,
                 cancel,
                 handles,
                 buf: BTreeMap::new(),
@@ -378,6 +396,73 @@ mod tests {
         let completed = done.load(Ordering::SeqCst);
         assert!(completed <= 2 + 2 + 1, "readahead ran away: {completed}");
         drop(it);
+    }
+
+    #[test]
+    fn wide_stage_bounds_readahead() {
+        // Depth 6 on a 2-worker pool runs 6 stage workers; a stalled
+        // consumer still caps completions at depth + width + 1.
+        let p = pool(2);
+        let done = Arc::new(AtomicUsize::new(0));
+        let done2 = done.clone();
+        let mut it = p.pipeline("wide", 6, 0..1000u64, move |x| {
+            done2.fetch_add(1, Ordering::SeqCst);
+            x
+        });
+        assert_eq!(it.next(), Some(0));
+        std::thread::sleep(Duration::from_millis(30));
+        let completed = done.load(Ordering::SeqCst);
+        assert!(completed <= 6 + 6 + 1, "readahead ran away: {completed}");
+        drop(it);
+    }
+
+    #[test]
+    fn slow_head_does_not_unbound_readahead() {
+        // The consumer waits on item 0 while every later item finishes
+        // at once: the reorder buffer must not absorb the whole source.
+        let p = pool(2);
+        let done = Arc::new(AtomicUsize::new(0));
+        let done2 = done.clone();
+        let mut it = p.pipeline("head", 2, 0..1000u64, move |x| {
+            if x == 0 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            done2.fetch_add(1, Ordering::SeqCst);
+            x
+        });
+        assert_eq!(it.next(), Some(0));
+        let completed = done.load(Ordering::SeqCst);
+        assert!(completed <= 2 + 2 + 1, "slow head let readahead run away: {completed}");
+        drop(it);
+    }
+
+    #[test]
+    fn depth_calls_overlap_on_a_narrow_pool() {
+        // Each call blocks until `depth` calls are in flight together;
+        // with a 2-worker pool and depth 4 this only finishes if the
+        // stage runs at least 4 workers. The wait is bounded so a
+        // regression fails instead of hanging.
+        let p = pool(2);
+        let inflight = Arc::new((Mutex::new(0usize), diesel_util::Condvar::new()));
+        let latch = Arc::clone(&inflight);
+        let got: Vec<bool> = p
+            .pipeline("overlap", 4, 0..8u64, move |_| {
+                let (count, cv) = &*latch;
+                let mut n = count.lock();
+                *n += 1;
+                cv.notify_all();
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                while *n < 4 {
+                    let left = deadline.saturating_duration_since(std::time::Instant::now());
+                    if left.is_zero() {
+                        return false;
+                    }
+                    n = cv.wait_timeout(n, left).0;
+                }
+                true
+            })
+            .collect();
+        assert_eq!(got, vec![true; 8], "fewer than 4 calls were ever in flight together");
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //!   for any worker count, including the inline (`workers <= 1`) mode
 //!   that runs everything on the calling thread.
 //! * **No idle deadlock** — a thread waiting for a scope *helps*: it
-//!   drains jobs from the pool queue while it waits, so nested fan-out
+//!   runs its own scope's still-queued jobs itself, so nested fan-out
 //!   (a pooled task that itself fans out on the same pool) cannot
-//!   starve even when every worker is busy.
+//!   starve even when every worker is busy. It runs only its own jobs,
+//!   never another scope's, so one fan-out's latency does not absorb a
+//!   concurrent one's work (the head batch of a read-ahead pipeline
+//!   finishes when its own reads do).
 
 use diesel_obs::{AmbientTrace, Counter, Gauge, HistogramHandle, Registry};
 use diesel_util::{Clock, Condvar, Mutex};
@@ -27,6 +30,13 @@ use crate::queue::Bounded;
 use crate::{ExecConfig, ExecError, Result};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A queued job, tagged with the scope that spawned it (`0` for
+/// detached tasks) so a scope's waiter can find its own jobs.
+struct Queued {
+    scope: usize,
+    job: Job,
+}
 
 /// Turn a panic payload into a printable message.
 pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -80,22 +90,22 @@ fn run_job(metrics: &PoolMetrics, clock: &Arc<dyn Clock>, job: Job) {
 }
 
 struct WorkerCtx {
-    queue: Arc<Bounded<Job>>,
+    queue: Arc<Bounded<Queued>>,
     metrics: PoolMetrics,
     clock: Arc<dyn Clock>,
 }
 
 fn worker_loop(ctx: WorkerCtx) {
-    while let Some(job) = ctx.queue.pop() {
+    while let Some(q) = ctx.queue.pop() {
         ctx.metrics.queue_depth.set(ctx.queue.len() as u64);
-        run_job(&ctx.metrics, &ctx.clock, job);
+        run_job(&ctx.metrics, &ctx.clock, q.job);
     }
 }
 
 struct PoolInner {
     name: String,
     workers: usize,
-    queue: Arc<Bounded<Job>>,
+    queue: Arc<Bounded<Queued>>,
     started: AtomicBool,
     spawned: AtomicUsize,
     start_lock: Mutex<()>,
@@ -154,28 +164,28 @@ impl PoolInner {
             run_job(&self.metrics, &self.clock, job);
             return;
         }
-        match self.queue.push(job) {
+        match self.queue.push(Queued { scope: 0, job }) {
             Ok(()) => self.metrics.queue_depth.set(self.queue.len() as u64),
             // Closed mid-shutdown: run the straggler here rather than
             // dropping it.
-            Err(job) => run_job(&self.metrics, &self.clock, job),
+            Err(q) => run_job(&self.metrics, &self.clock, q.job),
         }
     }
 
     /// Submit without blocking: a full (or closed) queue runs the job
     /// on the calling thread instead. Scoped fan-out uses this so a
     /// pooled task that fans out on its own pool can never deadlock on
-    /// its own queue.
-    fn submit_or_run(&self, job: Job) {
+    /// its own queue. `scope` tags the job for its scope's waiter.
+    fn submit_or_run(&self, scope: usize, job: Job) {
         self.metrics.submitted.inc();
         if self.inline_now() {
             run_job(&self.metrics, &self.clock, job);
             return;
         }
         self.ensure_started();
-        match self.queue.try_push(job) {
+        match self.queue.try_push(Queued { scope, job }) {
             Ok(()) => self.metrics.queue_depth.set(self.queue.len() as u64),
-            Err(job) => run_job(&self.metrics, &self.clock, job),
+            Err(q) => run_job(&self.metrics, &self.clock, q.job),
         }
     }
 }
@@ -343,25 +353,29 @@ impl WorkPool {
         result
     }
 
-    /// Block until `state.pending` reaches zero, draining pool jobs
-    /// while waiting ("helping"), so scopes opened from inside pooled
-    /// tasks make progress even when every worker is occupied.
+    /// Block until `state.pending` reaches zero, running the scope's own
+    /// still-queued jobs while waiting ("helping"), so scopes opened
+    /// from inside pooled tasks make progress even when every worker is
+    /// occupied: each of the scope's jobs is either queued (and run
+    /// here) or already running somewhere. Other scopes' jobs are left
+    /// to the workers, so this wait never grows by a stranger's job.
     fn wait_scope(&self, state: &Arc<ScopeState>) {
+        let id = scope_id(state);
         loop {
             if state.core.lock().pending == 0 {
                 return;
             }
-            if let Some(job) = self.inner.queue.try_pop() {
+            if let Some(q) = self.inner.queue.try_pop_where(|q| q.scope == id) {
                 self.inner.metrics.queue_depth.set(self.inner.queue.len() as u64);
-                run_job(&self.inner.metrics, &self.inner.clock, job);
+                run_job(&self.inner.metrics, &self.inner.clock, q.job);
                 continue;
             }
             let core = state.core.lock();
             if core.pending == 0 {
                 return;
             }
-            // The timeout re-checks the queue periodically; completion of
-            // our own jobs notifies `done` directly.
+            // Completion of our own jobs notifies `done` directly; the
+            // timeout is a safety net.
             let (guard, _timed_out) = state.done.wait_timeout(core, Duration::from_millis(2));
             drop(guard);
         }
@@ -623,8 +637,14 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(job)
         };
-        self.pool.inner.submit_or_run(job);
+        self.pool.inner.submit_or_run(scope_id(&self.state), job);
     }
+}
+
+/// A live scope's identity for tagging its queued jobs: the address of
+/// its shared state, never `0` and unique while the scope waits.
+fn scope_id(state: &Arc<ScopeState>) -> usize {
+    Arc::as_ptr(state) as usize
 }
 
 impl std::fmt::Debug for Scope<'_, '_> {
@@ -755,8 +775,8 @@ mod tests {
 
     #[test]
     fn nested_fan_out_does_not_deadlock() {
-        // Tasks that themselves fan out on the same (small) pool: the
-        // scope helper drains the queue while waiting.
+        // Tasks that themselves fan out on the same (small) pool: each
+        // scope's waiter runs its own queued jobs while waiting.
         let p = pool(2);
         let outer: Vec<u64> = p.map((0..4u64).collect(), |_, x| {
             let inner: Vec<u64> = p.map((0..8u64).collect(), |_, y| x * 100 + y);
@@ -764,6 +784,48 @@ mod tests {
         });
         let expect: Vec<u64> = (0..4u64).map(|x| (0..8u64).map(|y| x * 100 + y).sum()).collect();
         assert_eq!(outer, expect);
+    }
+
+    #[test]
+    fn scope_waiter_runs_only_its_own_jobs() {
+        // Both workers are parked, so the queue holds a detached task
+        // ahead of the scope's job. The waiter must run its own job and
+        // return; the detached task waits (bounded) for that return, so
+        // a waiter that ran it would stall until the patience ran out.
+        let p = pool(2);
+        let gate = Arc::new(Bounded::<()>::new(2));
+        let parked = Arc::new(AtomicUsize::new(0));
+        let parkers: Vec<_> = (0..2)
+            .map(|_| {
+                let (gate, parked) = (Arc::clone(&gate), Arc::clone(&parked));
+                p.spawn(move || {
+                    parked.fetch_add(1, Ordering::SeqCst);
+                    gate.pop();
+                })
+            })
+            .collect();
+        while parked.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        let released = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&released);
+        let foreign = p.spawn(move || {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while !seen.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            seen.load(Ordering::SeqCst)
+        });
+        let ran = AtomicBool::new(false);
+        p.scope(|s| s.spawn(|| ran.store(true, Ordering::SeqCst)));
+        released.store(true, Ordering::SeqCst);
+        assert!(ran.load(Ordering::SeqCst));
+        gate.push(()).unwrap();
+        gate.push(()).unwrap();
+        for h in parkers {
+            h.join().unwrap();
+        }
+        assert!(foreign.join().unwrap(), "the scope waiter ran a detached task");
     }
 
     #[test]

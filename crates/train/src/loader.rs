@@ -8,11 +8,21 @@
 //! Reads are pipelined (paper §4.2: I/O overlaps computation). Each
 //! epoch runs a two-stage [`WorkPool::pipeline`]:
 //!
-//! 1. `loader.fetch` — the shuffled order is cut into batch-sized path
-//!    groups and each group is read with [`DieselClient::get_many`],
-//!    which the server merges into one ranged read per chunk (Fig. 2).
+//! 1. `loader.fetch` — the epoch's shuffle plan is cut into batch-sized
+//!    position ranges; a batch's paths are resolved only when the stage
+//!    pulls it, and read with [`DieselClient::get_many`], which the
+//!    server merges into one ranged read per chunk (Fig. 2).
 //! 2. `loader.decode` — fetched bytes are decoded and assembled into a
 //!    `(Matrix, labels)` mini-batch.
+//!
+//! Starting an epoch therefore costs the shuffle plan, not a path list.
+//! The epoch is pinned to the snapshot it was planned on
+//! ([`EpochOrder`](diesel_core::EpochOrder)): a `download_meta` while it
+//! runs changes later epochs, never this one.
+//!
+//! Read-ahead is counted in batches, not cores: each stage keeps
+//! `prefetch_depth` batches in flight even on a pool with fewer
+//! workers, so that many batch reads overlap their storage latency.
 //!
 //! Batch *contents and order* are byte-identical for any worker count —
 //! the pipeline reorders completions back to source order — so an
@@ -83,8 +93,12 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DataLoader<K, S> {
         self
     }
 
-    /// Bound the read-ahead: at most `depth` finished batches buffer
-    /// between pipeline stages before fetching blocks (backpressure).
+    /// Set the read-ahead, in batches: each pipeline stage keeps `depth`
+    /// batches in flight (fetching, or decoding) whatever the pool's
+    /// worker count, and at most `depth` finished batches wait between
+    /// stages before the stage blocks (backpressure). A stage holds at
+    /// most `max(pool workers, depth) + depth` batches in flight plus
+    /// buffered.
     #[must_use]
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth.max(1);
@@ -113,16 +127,18 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DataLoader<K, S> {
     /// overlaps training compute. Yielded batches are identical — same
     /// order, same bytes — for any worker count.
     pub fn epoch_iter(&self, epoch: u64) -> diesel_core::Result<PipelineIter<BatchResult>> {
-        let order = self.client.epoch_file_list(self.seed, epoch)?;
-        let groups: Vec<Vec<String>> =
-            order.chunks(self.batch_size).map(<[String]>::to_vec).collect();
+        // Only the plan is built here; each batch's paths are resolved
+        // when the fetch stage pulls it, against the snapshot the epoch
+        // was planned on.
+        let order = self.client.plan_epoch(self.seed, epoch)?;
+        let (batch_size, len) = (self.batch_size, order.len());
         let client = Arc::clone(&self.client);
         let tracer = self.tracer.clone();
         let fetched = self.pool.pipeline(
             "loader.fetch",
             self.prefetch_depth,
-            groups.into_iter().enumerate(),
-            move |(i, paths): (usize, Vec<String>)| {
+            0..len.div_ceil(batch_size),
+            move |i: usize| {
                 let _tracer = tracer.as_ref().map(trace::install_tracer);
                 let span = if trace::active() {
                     let batch = i.to_string();
@@ -133,6 +149,8 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DataLoader<K, S> {
                 // The fetch span's context rides along to the decode
                 // stage, which may run on a different worker thread.
                 let ctx = span.context();
+                let start = i * batch_size;
+                let paths = order.paths(start..len.min(start + batch_size));
                 client.get_many(&paths).map(|bytes| (paths, bytes, ctx))
             },
         );
@@ -193,10 +211,14 @@ mod tests {
     use diesel_store::MemObjectStore;
 
     fn setup(n: usize) -> (Arc<DieselClient<ShardedKv, MemObjectStore>>, Vec<Sample>) {
-        let server = Arc::new(DieselServer::new(
-            Arc::new(ShardedKv::new()),
-            Arc::new(MemObjectStore::new()),
-        ));
+        setup_on(DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(MemObjectStore::new())), n)
+    }
+
+    fn setup_on<S: ObjectStore + 'static>(
+        server: DieselServer<ShardedKv, S>,
+        n: usize,
+    ) -> (Arc<DieselClient<ShardedKv, S>>, Vec<Sample>) {
+        let server = Arc::new(server);
         let client = DieselClient::connect_with(
             server,
             "synth",
@@ -215,8 +237,8 @@ mod tests {
         (Arc::new(client), samples)
     }
 
-    fn collect(
-        loader: &DataLoader<ShardedKv, MemObjectStore>,
+    fn collect<S: ObjectStore + 'static>(
+        loader: &DataLoader<ShardedKv, S>,
         epoch: u64,
     ) -> Vec<(Matrix, Vec<usize>)> {
         loader.epoch_iter(epoch).unwrap().collect::<diesel_core::Result<Vec<_>>>().unwrap()
@@ -272,18 +294,24 @@ mod tests {
         let inline =
             DataLoader::new(Arc::clone(&client), 8, 11).with_pool(WorkPool::inline("loader-test"));
         let baseline = collect(&inline, 0);
-        for workers in [2usize, 8] {
+        // The last case keeps more batches in flight than the pool has
+        // workers.
+        for (workers, depth) in [(2usize, 3), (8, 3), (2, 8)] {
             let pool = WorkPool::new(
                 "loader-test",
                 diesel_exec::ExecConfig { workers, queue_capacity: 0 },
             );
-            let loader =
-                DataLoader::new(Arc::clone(&client), 8, 11).with_pool(pool).with_prefetch_depth(3);
+            let loader = DataLoader::new(Arc::clone(&client), 8, 11)
+                .with_pool(pool)
+                .with_prefetch_depth(depth);
             let got = collect(&loader, 0);
             assert_eq!(got.len(), baseline.len());
             for (g, b) in got.iter().zip(&baseline) {
-                assert_eq!(g.1, b.1, "labels diverge at workers={workers}");
-                assert_eq!(g.0.data, b.0.data, "features diverge at workers={workers}");
+                assert_eq!(g.1, b.1, "labels diverge at workers={workers} depth={depth}");
+                assert_eq!(
+                    g.0.data, b.0.data,
+                    "features diverge at workers={workers} depth={depth}"
+                );
             }
         }
     }
@@ -351,5 +379,144 @@ mod tests {
         let first = iter.next().unwrap().unwrap();
         assert_eq!(first.1.len(), 4);
         drop(iter); // pipeline must cancel and join without hanging
+    }
+
+    #[test]
+    fn epoch_is_pinned_to_the_snapshot_it_was_planned_on() {
+        let (client, _) = setup(48);
+        let pool =
+            WorkPool::new("loader-pin", diesel_exec::ExecConfig { workers: 2, queue_capacity: 0 });
+        let loader = DataLoader::new(Arc::clone(&client), 4, 13).with_pool(pool);
+        let want = collect(&loader, 0);
+        let mut iter = loader.epoch_iter(0).unwrap();
+        let mut got = vec![iter.next().unwrap().unwrap()];
+        // A second writer's chunks carry an earlier timestamp, so they
+        // sort first in the new snapshot and shift every chunk index an
+        // unpinned epoch would resolve against.
+        let writer = DieselClient::connect_with(
+            Arc::clone(client.server()),
+            "synth",
+            diesel_core::ClientConfig {
+                chunk: diesel_chunk::ChunkBuilderConfig {
+                    target_chunk_size: 4096,
+                    ..Default::default()
+                },
+            },
+        )
+        .with_deterministic_identity(2, 2, 50);
+        for (i, s) in SyntheticSpec::cifar_like().generate(40).iter().enumerate() {
+            writer.put(&format!("extra/sample{i:06}.bin"), &s.encode()).unwrap();
+        }
+        writer.flush().unwrap();
+        client.download_meta().unwrap();
+        assert_eq!(loader.dataset_len().unwrap(), 88, "the new snapshot is installed");
+        got.extend(iter.map(Result::unwrap));
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.1, w.1, "labels diverge from the planned epoch");
+            assert_eq!(g.0.data, w.0.data, "features diverge from the planned epoch");
+        }
+        // The next epoch plans against the new snapshot.
+        let next: usize = collect(&loader, 1).iter().map(|(x, _)| x.rows).sum();
+        assert_eq!(next, 88);
+    }
+
+    /// An object store whose ranged reads wait until `need` of them are
+    /// outstanding at once, then let every read through. If the latch
+    /// has not opened within `patience`, it fails every read instead, so
+    /// a loader that never overlaps `need` reads fails fast rather than
+    /// hanging.
+    struct LatchStore {
+        inner: MemObjectStore,
+        need: usize,
+        patience: std::time::Duration,
+        /// `(outstanding reads, latch state)`: `None` while closed,
+        /// `Some(true)` once opened, `Some(false)` once given up.
+        state: diesel_util::Mutex<(usize, Option<bool>)>,
+        cv: diesel_util::Condvar,
+    }
+
+    impl LatchStore {
+        fn new(need: usize) -> Self {
+            LatchStore {
+                inner: MemObjectStore::new(),
+                need,
+                patience: std::time::Duration::from_secs(5),
+                state: diesel_util::Mutex::new((0, None)),
+                cv: diesel_util::Condvar::new(),
+            }
+        }
+
+        fn wait_open(&self) -> bool {
+            let deadline = std::time::Instant::now() + self.patience;
+            let mut g = self.state.lock();
+            g.0 += 1;
+            if g.0 >= self.need && g.1.is_none() {
+                g.1 = Some(true);
+                self.cv.notify_all();
+            }
+            while g.1.is_none() {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                if left.is_zero() {
+                    g.1 = Some(false);
+                    self.cv.notify_all();
+                    break;
+                }
+                g = self.cv.wait_timeout(g, left).0;
+            }
+            g.0 -= 1;
+            g.1 == Some(true)
+        }
+    }
+
+    impl ObjectStore for LatchStore {
+        fn put(&self, key: &str, value: Bytes) -> diesel_store::Result<()> {
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &str) -> diesel_store::Result<Bytes> {
+            self.inner.get(key)
+        }
+        fn get_range(&self, key: &str, offset: u64, len: usize) -> diesel_store::Result<Bytes> {
+            if !self.wait_open() {
+                return Err(diesel_store::StoreError::Io(format!(
+                    "fewer than {} reads were ever outstanding together",
+                    self.need
+                )));
+            }
+            self.inner.get_range(key, offset, len)
+        }
+        fn delete(&self, key: &str) -> diesel_store::Result<bool> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &str) -> bool {
+            self.inner.contains(key)
+        }
+        fn list_prefix(&self, prefix: &str) -> Vec<String> {
+            self.inner.list_prefix(prefix)
+        }
+        fn size_of(&self, key: &str) -> Option<usize> {
+            self.inner.size_of(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+    }
+
+    #[test]
+    fn batch_reads_overlap_beyond_the_pool_width() {
+        // The server reads inline, so every store read overlaps only
+        // with reads of other batches in flight. A 2-worker loader with
+        // prefetch depth 4 must get 4 of them outstanding together.
+        let server = DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(LatchStore::new(4)))
+            .with_pool(WorkPool::inline("server"));
+        let (client, _) = setup_on(server, 64);
+        let pool =
+            WorkPool::new("loader-wide", diesel_exec::ExecConfig { workers: 2, queue_capacity: 0 });
+        let loader = DataLoader::new(client, 4, 21).with_pool(pool).with_prefetch_depth(4);
+        let rows: usize = collect(&loader, 0).iter().map(|(x, _)| x.rows).sum();
+        assert_eq!(rows, 64);
     }
 }

@@ -94,6 +94,17 @@ timeout "$STEP_TIMEOUT" scripts/bench.sh --check --tolerance 2.5
 # already re-parsed it; keep the artifact honest here too.
 test -s results/scrape.prom || { echo "missing results/scrape.prom"; exit 1; }
 
+echo "== perfbench: built-in checks on every workload =="
+# A short traced run of the end-to-end training benchmark per workload.
+# perfbench exits 1 when any of its own checks fails: the batch oracle,
+# the cross-layer accounting (incl. churn's stale-owner identity) or
+# layer isolation (it prints `CHECK FAILED: …`). Timing numbers are
+# not gated here.
+for workload in warm_hit cold_store churn; do
+    timeout "$STEP_TIMEOUT" cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --trace 1 --seconds 3
+done
+
 echo "== rustfmt =="
 cargo fmt --check
 

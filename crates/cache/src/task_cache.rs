@@ -1043,7 +1043,10 @@ impl<S: ObjectStore> TaskCache<S> {
             } else {
                 trace::SpanGuard::default()
             };
-            self.backing.get(&key).map_err(|e| CacheError::Backing(e.to_string()))?
+            // Loads run as pool jobs (prefetch, partition loads, the
+            // rebalance sweep): a spare takes the queue while this waits.
+            diesel_exec::blocking(|| self.backing.get(&key))
+                .map_err(|e| CacheError::Backing(e.to_string()))?
         };
         // Decode the header once per load; the view reuses it for every
         // read served from this residency.

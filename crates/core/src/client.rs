@@ -564,9 +564,9 @@ fn build_index(snapshot: &MetaSnapshot) -> DatasetIndex {
         })
         .collect();
     for f in &snapshot.files {
-        if let Some(&i) = pos.get(&f.meta.chunk) {
-            chunks[i].chunk_bytes += f.meta.length;
-            chunks[i].files.push(f.path.clone());
+        if let Some(c) = pos.get(&f.meta.chunk).and_then(|&i| chunks.get_mut(i)) {
+            c.chunk_bytes += f.meta.length;
+            c.files.push(f.path.clone());
         }
     }
     DatasetIndex::new(chunks)

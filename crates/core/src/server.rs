@@ -297,7 +297,7 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         if let Some(&len) = self.header_lens.lock().get(key) {
             return Ok(len);
         }
-        let head = self.store.get_range(key, 6, 4)?;
+        let head = diesel_exec::blocking(|| self.store.get_range(key, 6, 4))?;
         let head: [u8; 4] = head
             .as_ref()
             .try_into()
@@ -378,7 +378,10 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
             // One merged read covering every requested byte in the chunk.
             let base = plan.min_offset();
             let span = plan.merged_span() as usize;
-            let merged = self.store.get_range(&key, header_len + base, span)?;
+            // The plan runs as a pool job: a spare worker takes the
+            // queue while this one waits on the store.
+            let merged =
+                diesel_exec::blocking(|| self.store.get_range(&key, header_len + base, span))?;
             let mut slices = Vec::with_capacity(plan.requests.len());
             for (idx, meta) in &plan.requests {
                 let start = (meta.offset - base) as usize;
@@ -654,7 +657,12 @@ mod tests {
             .with_id_generator(ChunkIdGenerator::deterministic(7, 7, 70_000))
     }
 
-    fn ingest_files(s: &Server, dataset: &str, files: &[(&str, Vec<u8>)], chunk_size: usize) {
+    fn ingest_files<S: ObjectStore>(
+        s: &DieselServer<ShardedKv, S>,
+        dataset: &str,
+        files: &[(&str, Vec<u8>)],
+        chunk_size: usize,
+    ) {
         let ids = ChunkIdGenerator::deterministic(1, 1, 1_000);
         let cfg = ChunkBuilderConfig { target_chunk_size: chunk_size, ..Default::default() };
         let mut w = ChunkWriter::new(cfg, &ids).with_clock(|| 1_000_000);
@@ -698,6 +706,103 @@ mod tests {
         assert_eq!(merged.len(), 40);
         for (i, (n, d)) in files.iter().enumerate() {
             assert_eq!(merged[i].as_ref(), &d[..], "merged read of {n}");
+        }
+    }
+
+    /// A store whose ranged reads wait until `need` of them are
+    /// outstanding at once, then let every read through. If that has
+    /// not happened within 5 s it fails every read instead, so a server
+    /// that never overlaps `need` reads fails fast rather than hanging.
+    struct LatchStore {
+        inner: MemObjectStore,
+        need: usize,
+        /// `(outstanding reads, latch state)`: `None` while closed,
+        /// `Some(true)` once opened, `Some(false)` once given up.
+        state: Mutex<(usize, Option<bool>)>,
+        cv: diesel_util::Condvar,
+    }
+
+    impl LatchStore {
+        fn wait_open(&self) -> bool {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            let mut g = self.state.lock();
+            g.0 += 1;
+            if g.0 >= self.need && g.1.is_none() {
+                g.1 = Some(true);
+                self.cv.notify_all();
+            }
+            while g.1.is_none() {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                if left.is_zero() {
+                    g.1 = Some(false);
+                    self.cv.notify_all();
+                    break;
+                }
+                g = self.cv.wait_timeout(g, left).0;
+            }
+            g.0 -= 1;
+            g.1 == Some(true)
+        }
+    }
+
+    impl ObjectStore for LatchStore {
+        fn put(&self, key: &str, value: Bytes) -> diesel_store::Result<()> {
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &str) -> diesel_store::Result<Bytes> {
+            self.inner.get(key)
+        }
+        fn get_range(&self, key: &str, offset: u64, len: usize) -> diesel_store::Result<Bytes> {
+            if !self.wait_open() {
+                return Err(diesel_store::StoreError::Io(format!(
+                    "fewer than {} reads were ever outstanding together",
+                    self.need
+                )));
+            }
+            self.inner.get_range(key, offset, len)
+        }
+        fn delete(&self, key: &str) -> diesel_store::Result<bool> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &str) -> bool {
+            self.inner.contains(key)
+        }
+        fn list_prefix(&self, prefix: &str) -> Vec<String> {
+            self.inner.list_prefix(prefix)
+        }
+        fn size_of(&self, key: &str) -> Option<usize> {
+            self.inner.size_of(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+    }
+
+    #[test]
+    fn merged_read_keeps_every_chunk_read_outstanding() {
+        // Six chunks, one ranged read each, on a 2-worker pool: the
+        // reads can only be outstanding together if a worker waiting on
+        // the store hands the queue to a spare.
+        let store = LatchStore {
+            inner: MemObjectStore::new(),
+            need: 6,
+            state: Mutex::new((0, None)),
+            cv: diesel_util::Condvar::new(),
+        };
+        let pool = WorkPool::new("server-latch", diesel_exec::ExecConfig::workers(2));
+        let s = DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(store)).with_pool(pool);
+        let files: Vec<(String, Vec<u8>)> = (0..6).map(|i| file(i, 300)).collect();
+        let refs: Vec<(&str, Vec<u8>)> =
+            files.iter().map(|(n, d)| (n.as_str(), d.clone())).collect();
+        ingest_files(&s, "ds", &refs, 256);
+        assert_eq!(s.meta().chunk_ids("ds").unwrap().len(), 6);
+        let paths: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
+        let merged = s.read_files_merged("ds", &paths).unwrap();
+        for (got, (n, d)) in merged.iter().zip(&files) {
+            assert_eq!(got.as_ref(), &d[..], "merged read of {n}");
         }
     }
 

@@ -29,6 +29,13 @@
 //!   consumer reorders by sequence number, so the stream is
 //!   byte-identical to the serial loop for any worker count. Stages
 //!   chain by using one pipeline as the next one's source.
+//! * [`blocking`] — wrap a call that sleeps on I/O. On a pool worker
+//!   it marks the worker blocked; while it waits and jobs are queued, a
+//!   spare worker runs the queue, so storage waits overlap instead of
+//!   holding the pool's `workers` threads. Spares start on first need,
+//!   park between uses and retire after idling; there is at most one
+//!   per job blocked at once. Off the pool (and on an inline pool) it
+//!   is just `f()`.
 //!
 //! ## Determinism mode
 //!
@@ -43,15 +50,17 @@
 //!
 //! Pools registered with a shared [`Registry`](diesel_obs::Registry)
 //! export `exec.tasks_submitted`/`completed`/`panicked`/`cancelled`
-//! counters, an `exec.queue_depth` gauge, and an `exec.task_ns`
-//! latency histogram, all labelled `{pool=<name>}`.
+//! counters, an `exec.queue_depth` gauge, an `exec.task_ns` latency
+//! histogram, and for [`blocking`] the `exec.blocked` and
+//! `exec.spare_workers` gauges and the `exec.spare_starts` counter, all
+//! labelled `{pool=<name>}`.
 
 pub mod pipeline;
 pub mod pool;
 pub mod queue;
 
 pub use pipeline::PipelineIter;
-pub use pool::{global, CancelToken, Scope, TaskHandle, WorkPool};
+pub use pool::{blocking, global, CancelToken, Scope, TaskHandle, WorkPool};
 pub use queue::Bounded;
 
 /// Errors surfaced by the executor itself (task bodies carry their own

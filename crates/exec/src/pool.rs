@@ -11,15 +11,17 @@
 //!   for any worker count, including the inline (`workers <= 1`) mode
 //!   that runs everything on the calling thread.
 //! * **No idle deadlock** — a thread waiting for a scope *helps*: it
-//!   runs its own scope's still-queued jobs itself, so nested fan-out
+//!   drains jobs from the pool queue while it waits, so nested fan-out
 //!   (a pooled task that itself fans out on the same pool) cannot
-//!   starve even when every worker is busy. It runs only its own jobs,
-//!   never another scope's, so one fan-out's latency does not absorb a
-//!   concurrent one's work (the head batch of a read-ahead pipeline
-//!   finishes when its own reads do).
+//!   starve even when every worker is busy.
+//!
+//! [`blocking`] keeps storage waits from idling the pool: a worker that
+//! sleeps through an I/O call hands the queue to a *spare* worker for
+//! the duration, so queued reads run beside it instead of behind it.
 
 use diesel_obs::{AmbientTrace, Counter, Gauge, HistogramHandle, Registry};
 use diesel_util::{Clock, Condvar, Mutex};
+use std::cell::OnceCell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -30,13 +32,6 @@ use crate::queue::Bounded;
 use crate::{ExecConfig, ExecError, Result};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A queued job, tagged with the scope that spawned it (`0` for
-/// detached tasks) so a scope's waiter can find its own jobs.
-struct Queued {
-    scope: usize,
-    job: Job,
-}
 
 /// Turn a panic payload into a printable message.
 pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -59,6 +54,9 @@ pub(crate) struct PoolMetrics {
     cancelled: Counter,
     queue_depth: Gauge,
     task_ns: HistogramHandle,
+    blocked: Gauge,
+    spare_workers: Gauge,
+    spare_starts: Counter,
 }
 
 impl PoolMetrics {
@@ -71,6 +69,9 @@ impl PoolMetrics {
             cancelled: registry.counter("exec.tasks_cancelled", &labels),
             queue_depth: registry.gauge("exec.queue_depth", &labels),
             task_ns: registry.histogram("exec.task_ns", &labels),
+            blocked: registry.gauge("exec.blocked", &labels),
+            spare_workers: registry.gauge("exec.spare_workers", &labels),
+            spare_starts: registry.counter("exec.spare_starts", &labels),
         }
     }
 }
@@ -89,44 +90,222 @@ fn run_job(metrics: &PoolMetrics, clock: &Arc<dyn Clock>, job: Job) {
     }
 }
 
-struct WorkerCtx {
-    queue: Arc<Bounded<Queued>>,
+/// How long a parked spare worker waits for work before it retires.
+const SPARE_IDLE: Duration = Duration::from_secs(1);
+
+/// What a pool's threads share: the queue, the metrics, and the counts
+/// [`blocking`] uses to start, wake and park spare workers.
+struct Shared {
+    name: String,
+    workers: usize,
+    queue: Bounded<Job>,
     metrics: PoolMetrics,
     clock: Arc<dyn Clock>,
+    /// Pool threads (workers and spares) running a job.
+    running: AtomicUsize,
+    /// Jobs on pool threads inside [`blocking`].
+    blocked: AtomicUsize,
+    spares: Mutex<Spares>,
+    /// Parked spares wait here for a wake-up.
+    spare_wake: Condvar,
 }
 
-fn worker_loop(ctx: WorkerCtx) {
-    while let Some(q) = ctx.queue.pop() {
-        ctx.metrics.queue_depth.set(ctx.queue.len() as u64);
-        run_job(&ctx.metrics, &ctx.clock, q.job);
+#[derive(Default)]
+struct Spares {
+    /// Spare threads alive.
+    live: usize,
+    /// Spares waiting on `spare_wake`.
+    parked: usize,
+    /// Wake-ups handed to parked spares and not yet taken.
+    wakeups: usize,
+    /// Set when the pool drops: every spare retires.
+    shutdown: bool,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+thread_local! {
+    /// The pool whose worker (or spare) this thread is; unset on every
+    /// other thread.
+    static CURRENT: OnceCell<Arc<Shared>> = const { OnceCell::new() };
+}
+
+/// Run `f`, a call that sleeps on I/O, with the calling pool worker
+/// marked as blocked. While it waits and jobs are queued, a spare
+/// worker runs them, so the pool keeps `workers` threads for CPU work
+/// and no queued read waits behind a sleeping one. Spares start on
+/// first need, park between uses and retire after idling; at most one
+/// lives per job blocked at once (and no more than the queue holds).
+///
+/// On a thread that is not one of a pool's workers, which includes
+/// every caller of an inline pool, this is just `f()`.
+pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
+    CURRENT.with(|current| match current.get() {
+        None => f(),
+        Some(shared) => {
+            let _blocked = shared.block();
+            f()
+        }
+    })
+}
+
+/// A pool thread's stay inside [`blocking`]; dropping it ends the stay.
+struct Blocked<'a>(&'a Shared);
+
+impl Drop for Blocked<'_> {
+    fn drop(&mut self) {
+        self.0.blocked.fetch_sub(1, Ordering::SeqCst);
+        self.0.metrics.blocked.sub(1);
+    }
+}
+
+impl Shared {
+    /// Run one popped job on this pool thread, counted as running.
+    fn run(&self, job: Job) {
+        self.metrics.queue_depth.set(self.queue.len() as u64);
+        self.running.fetch_add(1, Ordering::SeqCst);
+        run_job(&self.metrics, &self.clock, job);
+        self.running.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// A job was queued: hand it to a spare if a pool thread is blocked.
+    fn queued(self: &Arc<Self>) {
+        self.metrics.queue_depth.set(self.queue.len() as u64);
+        if self.blocked.load(Ordering::SeqCst) > 0 {
+            self.wake_spares(1);
+        }
+    }
+
+    /// Enter [`blocking`]: every job queued now gets a spare at once,
+    /// not one spare per thread that blocks after it.
+    fn block(self: &Arc<Self>) -> Blocked<'_> {
+        self.blocked.fetch_add(1, Ordering::SeqCst);
+        self.metrics.blocked.add(1);
+        let queued = self.queue.len();
+        if queued > 0 {
+            self.wake_spares(queued);
+        }
+        Blocked(self)
+    }
+
+    /// Whether a spare may take a job: fewer than `workers` pool threads
+    /// run a job without being blocked, so the spare stands in for a
+    /// blocked thread instead of adding CPU work.
+    fn spare_may_run(&self) -> bool {
+        let running = self.running.load(Ordering::SeqCst);
+        running.saturating_sub(self.blocked.load(Ordering::SeqCst)) < self.workers
+    }
+
+    /// `want` jobs are queued while a pool thread is blocked: wake as
+    /// many parked spares, and start new ones while fewer spares live
+    /// than jobs are blocked.
+    fn wake_spares(self: &Arc<Self>, want: usize) {
+        let blocked = self.blocked.load(Ordering::SeqCst);
+        let mut sp = self.spares.lock();
+        if sp.shutdown {
+            return;
+        }
+        let wake = want.min(sp.parked.saturating_sub(sp.wakeups));
+        sp.wakeups += wake;
+        let room = blocked.min(self.queue.capacity()).saturating_sub(sp.live);
+        for _ in 0..(want - wake).min(room) {
+            let shared = Arc::clone(self);
+            let spawned = std::thread::Builder::new()
+                .name(format!("{}-spare", self.name))
+                .spawn(move || spare_loop(shared));
+            let Ok(h) = spawned else { break };
+            sp.live += 1;
+            sp.handles.retain(|h| !h.is_finished());
+            sp.handles.push(h);
+            self.metrics.spare_workers.add(1);
+            self.metrics.spare_starts.inc();
+        }
+        drop(sp);
+        for _ in 0..wake {
+            self.spare_wake.notify_one();
+        }
+    }
+
+    /// Park a spare that ran out of work. `true`: there is work to try;
+    /// `false`: retire (idle for [`SPARE_IDLE`], or the pool dropped).
+    fn park_spare(&self) -> bool {
+        let mut sp = self.spares.lock();
+        let mut idled = false;
+        loop {
+            if sp.shutdown {
+                break;
+            }
+            if sp.wakeups > 0 {
+                sp.wakeups -= 1;
+                return true;
+            }
+            // Checked under the lock: a job queued before this point is
+            // taken now, and a later one's submitter finds us parked.
+            if self.spare_may_run() && !self.queue.is_empty() {
+                return true;
+            }
+            if idled {
+                break;
+            }
+            sp.parked += 1;
+            let (guard, timed_out) = self.spare_wake.wait_timeout(sp, SPARE_IDLE);
+            sp = guard;
+            sp.parked -= 1;
+            idled = timed_out;
+        }
+        sp.live -= 1;
+        self.metrics.spare_workers.sub(1);
+        false
+    }
+}
+
+/// Mark this thread as one of `shared`'s pool threads for [`blocking`].
+fn enter(shared: &Arc<Shared>) {
+    CURRENT.with(|current| {
+        current.get_or_init(|| Arc::clone(shared));
+    });
+}
+
+fn worker_loop(shared: Arc<Shared>) {
+    enter(&shared);
+    while let Some(job) = shared.queue.pop() {
+        shared.run(job);
+    }
+}
+
+fn spare_loop(shared: Arc<Shared>) {
+    enter(&shared);
+    loop {
+        while shared.spare_may_run() {
+            let Some(job) = shared.queue.try_pop() else { break };
+            shared.run(job);
+        }
+        if !shared.park_spare() {
+            return;
+        }
     }
 }
 
 struct PoolInner {
-    name: String,
-    workers: usize,
-    queue: Arc<Bounded<Queued>>,
+    shared: Arc<Shared>,
     started: AtomicBool,
     spawned: AtomicUsize,
     start_lock: Mutex<()>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     registry: Arc<Registry>,
-    clock: Arc<dyn Clock>,
-    metrics: PoolMetrics,
 }
 
 impl PoolInner {
     /// Whether submissions must run on the calling thread right now:
     /// the pool is configured inline, or every worker failed to spawn.
     fn inline_now(&self) -> bool {
-        self.workers <= 1
+        self.shared.workers <= 1
             || (self.started.load(Ordering::Acquire) && self.spawned.load(Ordering::Acquire) == 0)
     }
 
     /// Spawn the worker threads on first use (lazily, so pools embedded
     /// in servers and caches cost nothing until work arrives).
     fn ensure_started(&self) {
-        if self.workers <= 1 || self.started.load(Ordering::Acquire) {
+        if self.shared.workers <= 1 || self.started.load(Ordering::Acquire) {
             return;
         }
         let _g = self.start_lock.lock();
@@ -134,15 +313,11 @@ impl PoolInner {
             return;
         }
         let mut handles = self.handles.lock();
-        for i in 0..self.workers {
-            let ctx = WorkerCtx {
-                queue: Arc::clone(&self.queue),
-                metrics: self.metrics.clone(),
-                clock: Arc::clone(&self.clock),
-            };
+        for i in 0..self.shared.workers {
+            let shared = Arc::clone(&self.shared);
             let spawned = std::thread::Builder::new()
-                .name(format!("{}-{i}", self.name))
-                .spawn(move || worker_loop(ctx));
+                .name(format!("{}-{i}", self.shared.name))
+                .spawn(move || worker_loop(shared));
             if let Ok(h) = spawned {
                 handles.push(h);
                 self.spawned.fetch_add(1, Ordering::AcqRel);
@@ -152,49 +327,64 @@ impl PoolInner {
         self.started.store(true, Ordering::Release);
     }
 
+    fn run_here(&self, job: Job) {
+        run_job(&self.shared.metrics, &self.shared.clock, job);
+    }
+
     /// Submit with backpressure: block while the queue is full.
     fn submit(&self, job: Job) {
-        self.metrics.submitted.inc();
+        self.shared.metrics.submitted.inc();
         if self.inline_now() {
-            run_job(&self.metrics, &self.clock, job);
+            self.run_here(job);
             return;
         }
         self.ensure_started();
         if self.inline_now() {
-            run_job(&self.metrics, &self.clock, job);
+            self.run_here(job);
             return;
         }
-        match self.queue.push(Queued { scope: 0, job }) {
-            Ok(()) => self.metrics.queue_depth.set(self.queue.len() as u64),
+        match self.shared.queue.push(job) {
+            Ok(()) => self.shared.queued(),
             // Closed mid-shutdown: run the straggler here rather than
             // dropping it.
-            Err(q) => run_job(&self.metrics, &self.clock, q.job),
+            Err(job) => self.run_here(job),
         }
     }
 
     /// Submit without blocking: a full (or closed) queue runs the job
     /// on the calling thread instead. Scoped fan-out uses this so a
     /// pooled task that fans out on its own pool can never deadlock on
-    /// its own queue. `scope` tags the job for its scope's waiter.
-    fn submit_or_run(&self, scope: usize, job: Job) {
-        self.metrics.submitted.inc();
+    /// its own queue.
+    fn submit_or_run(&self, job: Job) {
+        self.shared.metrics.submitted.inc();
         if self.inline_now() {
-            run_job(&self.metrics, &self.clock, job);
+            self.run_here(job);
             return;
         }
         self.ensure_started();
-        match self.queue.try_push(Queued { scope, job }) {
-            Ok(()) => self.metrics.queue_depth.set(self.queue.len() as u64),
-            Err(q) => run_job(&self.metrics, &self.clock, q.job),
+        match self.shared.queue.try_push(job) {
+            Ok(()) => self.shared.queued(),
+            Err(job) => self.run_here(job),
         }
     }
 }
 
 impl Drop for PoolInner {
     fn drop(&mut self) {
-        self.queue.close();
-        for h in self.handles.get_mut().drain(..) {
-            let _ = h.join();
+        self.shared.queue.close();
+        let spares = {
+            let mut sp = self.shared.spares.lock();
+            sp.shutdown = true;
+            std::mem::take(&mut sp.handles)
+        };
+        self.shared.spare_wake.notify_all();
+        // A job that drops the last handle runs on a pool thread, which
+        // must not join itself.
+        let me = std::thread::current().id();
+        for h in self.handles.get_mut().drain(..).chain(spares) {
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -222,16 +412,22 @@ impl WorkPool {
         let clock = Arc::clone(registry.clock());
         WorkPool {
             inner: Arc::new(PoolInner {
-                name: name.to_owned(),
-                workers: config.workers.max(1),
-                queue: Arc::new(Bounded::new(config.capacity())),
+                shared: Arc::new(Shared {
+                    name: name.to_owned(),
+                    workers: config.workers.max(1),
+                    queue: Bounded::new(config.capacity()),
+                    metrics,
+                    clock,
+                    running: AtomicUsize::new(0),
+                    blocked: AtomicUsize::new(0),
+                    spares: Mutex::named("exec.spares", Spares::default()),
+                    spare_wake: Condvar::new(),
+                }),
                 started: AtomicBool::new(false),
                 spawned: AtomicUsize::new(0),
                 start_lock: Mutex::named("exec.pool_start", ()),
                 handles: Mutex::named("exec.pool_handles", Vec::new()),
                 registry,
-                clock,
-                metrics,
             }),
         }
     }
@@ -244,12 +440,12 @@ impl WorkPool {
 
     /// The pool's name (its `{pool=…}` metric label).
     pub fn name(&self) -> &str {
-        &self.inner.name
+        &self.inner.shared.name
     }
 
     /// Configured worker count.
     pub fn workers(&self) -> usize {
-        self.inner.workers
+        self.inner.shared.workers
     }
 
     /// Whether this pool runs submissions inline (deterministic mode).
@@ -263,7 +459,7 @@ impl WorkPool {
     }
 
     pub(crate) fn clock(&self) -> &Arc<dyn Clock> {
-        &self.inner.clock
+        &self.inner.shared.clock
     }
 
     // ---- detached tasks ----
@@ -294,7 +490,7 @@ impl WorkPool {
             done: Condvar::new(),
         });
         let (token2, shared2) = (token.clone(), Arc::clone(&shared));
-        let panicked = self.inner.metrics.panicked.clone();
+        let panicked = self.inner.shared.metrics.panicked.clone();
         // Carry the submitter's ambient trace into the worker, so spans
         // opened by the task parent the span that spawned it.
         let ambient = AmbientTrace::capture();
@@ -312,7 +508,7 @@ impl WorkPool {
         TaskHandle {
             shared,
             token,
-            cancelled_counter: self.inner.metrics.cancelled.clone(),
+            cancelled_counter: self.inner.shared.metrics.cancelled.clone(),
             joined: false,
         }
     }
@@ -353,29 +549,25 @@ impl WorkPool {
         result
     }
 
-    /// Block until `state.pending` reaches zero, running the scope's own
-    /// still-queued jobs while waiting ("helping"), so scopes opened
-    /// from inside pooled tasks make progress even when every worker is
-    /// occupied: each of the scope's jobs is either queued (and run
-    /// here) or already running somewhere. Other scopes' jobs are left
-    /// to the workers, so this wait never grows by a stranger's job.
+    /// Block until `state.pending` reaches zero, draining pool jobs
+    /// while waiting ("helping"), so scopes opened from inside pooled
+    /// tasks make progress even when every worker is occupied.
     fn wait_scope(&self, state: &Arc<ScopeState>) {
-        let id = scope_id(state);
         loop {
             if state.core.lock().pending == 0 {
                 return;
             }
-            if let Some(q) = self.inner.queue.try_pop_where(|q| q.scope == id) {
-                self.inner.metrics.queue_depth.set(self.inner.queue.len() as u64);
-                run_job(&self.inner.metrics, &self.inner.clock, q.job);
+            if let Some(job) = self.inner.shared.queue.try_pop() {
+                self.inner.shared.metrics.queue_depth.set(self.inner.shared.queue.len() as u64);
+                self.inner.run_here(job);
                 continue;
             }
             let core = state.core.lock();
             if core.pending == 0 {
                 return;
             }
-            // Completion of our own jobs notifies `done` directly; the
-            // timeout is a safety net.
+            // The timeout re-checks the queue periodically; completion of
+            // our own jobs notifies `done` directly.
             let (guard, _timed_out) = state.done.wait_timeout(core, Duration::from_millis(2));
             drop(guard);
         }
@@ -475,9 +667,9 @@ impl WorkPool {
 impl std::fmt::Debug for WorkPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkPool")
-            .field("name", &self.inner.name)
-            .field("workers", &self.inner.workers)
-            .field("queued", &self.inner.queue.len())
+            .field("name", &self.inner.shared.name)
+            .field("workers", &self.inner.shared.workers)
+            .field("queued", &self.inner.shared.queue.len())
             .finish()
     }
 }
@@ -612,7 +804,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     {
         self.state.core.lock().pending += 1;
         let state = Arc::clone(&self.state);
-        let panicked = self.pool.inner.metrics.panicked.clone();
+        let panicked = self.pool.inner.shared.metrics.panicked.clone();
         // Restore the submitter's trace state in the worker (or inline
         // on the full-queue path — install is idempotent there).
         let ambient = AmbientTrace::capture();
@@ -637,14 +829,8 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(job)
         };
-        self.pool.inner.submit_or_run(scope_id(&self.state), job);
+        self.pool.inner.submit_or_run(job);
     }
-}
-
-/// A live scope's identity for tagging its queued jobs: the address of
-/// its shared state, never `0` and unique while the scope waits.
-fn scope_id(state: &Arc<ScopeState>) -> usize {
-    Arc::as_ptr(state) as usize
 }
 
 impl std::fmt::Debug for Scope<'_, '_> {
@@ -776,7 +962,7 @@ mod tests {
     #[test]
     fn nested_fan_out_does_not_deadlock() {
         // Tasks that themselves fan out on the same (small) pool: each
-        // scope's waiter runs its own queued jobs while waiting.
+        // scope's waiter drains queued jobs while waiting.
         let p = pool(2);
         let outer: Vec<u64> = p.map((0..4u64).collect(), |_, x| {
             let inner: Vec<u64> = p.map((0..8u64).collect(), |_, y| x * 100 + y);
@@ -786,46 +972,125 @@ mod tests {
         assert_eq!(outer, expect);
     }
 
+    /// A gate that opens once `need` threads wait at it, or fails every
+    /// waiter after 5 s, so a pool that cannot overlap `need` waits
+    /// fails the test instead of hanging it.
+    struct Latch {
+        need: usize,
+        state: Mutex<(usize, Option<bool>)>,
+        cv: Condvar,
+    }
+
+    impl Latch {
+        fn new(need: usize) -> Arc<Self> {
+            Arc::new(Latch { need, state: Mutex::new((0, None)), cv: Condvar::new() })
+        }
+
+        /// Arrive and wait; `true` if the latch opened.
+        fn wait(&self) -> bool {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            let mut g = self.state.lock();
+            g.0 += 1;
+            if g.0 >= self.need && g.1.is_none() {
+                g.1 = Some(true);
+                self.cv.notify_all();
+            }
+            while g.1.is_none() {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                if left.is_zero() {
+                    g.1 = Some(false);
+                    self.cv.notify_all();
+                    break;
+                }
+                g = self.cv.wait_timeout(g, left).0;
+            }
+            g.1 == Some(true)
+        }
+    }
+
+    fn gauge(p: &WorkPool, name: &str) -> u64 {
+        p.registry().snapshot().gauge(&format!("{name}{{pool={}}}", p.name()))
+    }
+
+    fn spare_starts(p: &WorkPool) -> u64 {
+        p.registry().snapshot().counter(&format!("exec.spare_starts{{pool={}}}", p.name()))
+    }
+
     #[test]
-    fn scope_waiter_runs_only_its_own_jobs() {
-        // Both workers are parked, so the queue holds a detached task
-        // ahead of the scope's job. The waiter must run its own job and
-        // return; the detached task waits (bounded) for that return, so
-        // a waiter that ran it would stall until the patience ran out.
+    fn blocked_workers_hand_the_queue_to_spares() {
+        // Six jobs on two workers, each blocked until all six are
+        // inside `blocking` together: only spares can get them there.
         let p = pool(2);
-        let gate = Arc::new(Bounded::<()>::new(2));
-        let parked = Arc::new(AtomicUsize::new(0));
-        let parkers: Vec<_> = (0..2)
+        let latch = Latch::new(6);
+        let blocked_at_open = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..6)
             .map(|_| {
-                let (gate, parked) = (Arc::clone(&gate), Arc::clone(&parked));
+                let (latch, p2, seen) =
+                    (Arc::clone(&latch), p.clone(), Arc::clone(&blocked_at_open));
                 p.spawn(move || {
-                    parked.fetch_add(1, Ordering::SeqCst);
-                    gate.pop();
+                    blocking(|| {
+                        let opened = latch.wait();
+                        seen.fetch_max(gauge(&p2, "exec.blocked") as usize, Ordering::SeqCst);
+                        opened
+                    })
                 })
             })
             .collect();
-        while parked.load(Ordering::SeqCst) < 2 {
-            std::thread::yield_now();
+        for h in handles {
+            assert!(h.join().unwrap(), "six blocked jobs never overlapped on a 2-worker pool");
         }
-        let released = Arc::new(AtomicBool::new(false));
-        let seen = Arc::clone(&released);
-        let foreign = p.spawn(move || {
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while !seen.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            seen.load(Ordering::SeqCst)
-        });
-        let ran = AtomicBool::new(false);
-        p.scope(|s| s.spawn(|| ran.store(true, Ordering::SeqCst)));
-        released.store(true, Ordering::SeqCst);
-        assert!(ran.load(Ordering::SeqCst));
-        gate.push(()).unwrap();
-        gate.push(()).unwrap();
-        for h in parkers {
-            h.join().unwrap();
+        assert_eq!(blocked_at_open.load(Ordering::SeqCst), 6);
+        assert_eq!(gauge(&p, "exec.blocked"), 0);
+        // Four spares stand in for the jobs beyond the two workers; the
+        // bound is one per blocked job.
+        let starts = spare_starts(&p);
+        assert!((4..=6).contains(&starts), "spare starts {starts}");
+    }
+
+    #[test]
+    fn blocking_off_the_pool_runs_inline() {
+        let tid = std::thread::current().id();
+        // A thread that is no pool's worker.
+        let p = pool(2);
+        p.map((0..4).collect::<Vec<u32>>(), |_, x| x);
+        assert_eq!(blocking(|| std::thread::current().id()), tid);
+        // An inline pool's jobs run on the caller, which is no worker.
+        let inline = pool(1);
+        let h = inline.spawn(move || blocking(|| std::thread::current().id() == tid));
+        assert!(h.join().unwrap());
+        for q in [&p, &inline] {
+            assert_eq!(spare_starts(q), 0);
+            assert_eq!(gauge(q, "exec.spare_workers"), 0);
+            assert_eq!(gauge(q, "exec.blocked"), 0);
         }
-        assert!(foreign.join().unwrap(), "the scope waiter ran a detached task");
+    }
+
+    #[test]
+    fn dropping_the_pool_retires_every_spare() {
+        let registry = Arc::new(Registry::default());
+        let p = WorkPool::with_registry("drop", ExecConfig::workers(2), Arc::clone(&registry));
+        // The test thread is the seventh arrival: it opens the latch
+        // only after seeing every spare start.
+        let latch = Latch::new(7);
+        let handles: Vec<_> = (0..6)
+            .map(|_| {
+                let latch = Arc::clone(&latch);
+                p.spawn(move || blocking(|| latch.wait()))
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while gauge(&p, "exec.blocked") < 6 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(gauge(&p, "exec.spare_workers") >= 4);
+        assert!(latch.wait());
+        for h in handles {
+            assert!(h.join().unwrap());
+        }
+        drop(p);
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("exec.spare_workers{pool=drop}"), 0);
+        assert!(snap.counter("exec.spare_starts{pool=drop}") >= 4);
     }
 
     #[test]
@@ -903,6 +1168,22 @@ mod tests {
                 "workers={w}: every task span hangs under the fanout span"
             );
         }
+    }
+
+    #[test]
+    fn a_job_may_drop_the_last_pool_handle() {
+        let p = pool(2);
+        let last = p.clone();
+        let gate = Arc::new(Bounded::<()>::new(1));
+        let gate2 = Arc::clone(&gate);
+        let h = p.spawn(move || {
+            gate2.pop();
+            drop(last); // shuts the pool down from one of its own workers
+            7
+        });
+        drop(p);
+        gate.push(()).unwrap();
+        assert_eq!(h.join().unwrap(), 7);
     }
 
     #[test]

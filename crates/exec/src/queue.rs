@@ -112,17 +112,6 @@ impl<T> Bounded<T> {
         Some(item)
     }
 
-    /// Dequeue the oldest item matching `pred` without blocking; `None`
-    /// when no queued item matches.
-    pub fn try_pop_where(&self, pred: impl Fn(&T) -> bool) -> Option<T> {
-        let mut g = self.state.lock();
-        let pos = g.items.iter().position(pred)?;
-        let item = g.items.remove(pos)?;
-        drop(g);
-        self.not_full.notify_one();
-        Some(item)
-    }
-
     /// Close the queue: producers get their items back, consumers drain
     /// what is left and then see `None`. Idempotent.
     pub fn close(&self) {
@@ -172,19 +161,6 @@ mod tests {
         assert_eq!(q.try_push(3), Err(3));
         q.pop();
         q.try_push(3).unwrap();
-    }
-
-    #[test]
-    fn try_pop_where_takes_the_oldest_match() {
-        let q = Bounded::new(4);
-        for x in [1, 2, 3, 4] {
-            q.push(x).unwrap();
-        }
-        assert_eq!(q.try_pop_where(|x| x % 2 == 0), Some(2));
-        assert_eq!(q.try_pop_where(|&x| x > 9), None);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
     }
 
     #[test]
